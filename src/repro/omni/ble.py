@@ -281,6 +281,27 @@ class BallotLeaderElection(Instrumented):
             # late heartbeat is simply ignored and does not affect
             # correctness").
 
+    def outrank(self, ballot: Ballot) -> None:
+        """Move our ballot above ``ballot`` and forget the elected leader,
+        to be elected in a later round.
+
+        The takeover step when the leader's ballot went missing — and what
+        a server does when it was elected with a ballot its replication
+        layer cannot lead in (one it already led with before a restart):
+        the next heartbeat round then elects a round it can use.
+        """
+        self._current_ballot = self._current_ballot.bump(ballot)
+        self._leader = None
+        if self._leaderless_since is None:
+            self._leaderless_since = self._now
+        self.stats.ballots_bumped += 1
+        if self._obs.enabled:
+            self._obs.emit(BallotBumped(
+                pid=self.pid, ballot=self._current_ballot.n
+            ))
+            self._obs.counter("repro_ballots_bumped_total",
+                              pid=self.pid).inc()
+
     def take_outbox(self) -> List[Tuple[int, Any]]:
         """Drain pending outgoing ``(dst, message)`` pairs."""
         out, self._outbox = self._outbox, []
@@ -382,17 +403,7 @@ class BallotLeaderElection(Instrumented):
                 self._current_ballot = self._current_ballot.with_priority(
                     self._last_connectivity
                 )
-            self._current_ballot = self._current_ballot.bump(leader_ballot)
-            self._leader = None
-            if self._leaderless_since is None:
-                self._leaderless_since = self._now
-            self.stats.ballots_bumped += 1
-            if self._obs.enabled:
-                self._obs.emit(BallotBumped(
-                    pid=self.pid, ballot=self._current_ballot.n
-                ))
-                self._obs.counter("repro_ballots_bumped_total",
-                                  pid=self.pid).inc()
+            self.outrank(leader_ballot)
         elif top != leader_ballot:
             # A higher quorum-connected ballot exists: elect it.
             self._leader = top

@@ -12,15 +12,36 @@ The ``torn`` mode additionally persists a prefix of a batched append before
 failing — the on-disk state a power cut leaves mid-batch — to assert that
 recovery treats the torn suffix as never written (un-acked entries may be
 lost; acked ones may not).
+
+:meth:`FaultyStorage.power_cut` is the durability test proper: it throws
+away everything written since the last ``sync()`` returned, which is what
+survives when the machine loses power rather than the process dying. It
+makes the replica's durability barrier falsifiable — a replica that lets an
+acknowledgement out before ``sync()`` loses acknowledged entries under it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.omni.ballot import Ballot
-from repro.omni.storage import Storage
+from repro.omni.storage import InMemoryStorage, Storage
+
+
+def _image_of(storage: Storage) -> InMemoryStorage:
+    """An in-memory copy of ``storage``'s current state."""
+    image = InMemoryStorage()
+    first = storage.compacted_idx()
+    image._reset_log_to(first)
+    image.append_entries(storage.get_entries(first, storage.log_len()))
+    image.set_promise(storage.get_promise())
+    image.set_accepted_round(storage.get_accepted_round())
+    image.set_decided_idx(storage.get_decided_idx())
+    snapshot = storage.get_snapshot()
+    if snapshot is not None:
+        image.set_snapshot(*snapshot)
+    return image
 
 
 class FaultyStorage(Storage):
@@ -59,6 +80,11 @@ class FaultyStorage(Storage):
         self.writes_failed = 0
         self.writes_slowed = 0
         self.entries_torn = 0
+        #: What a power cut would leave: the wrapped storage's state as of
+        #: the last sync(), kept current by replaying onto it, at each
+        #: sync, the mutations made since the one before.
+        self._durable = _image_of(inner)
+        self._unsynced: List[Tuple[str, Tuple[Any, ...]]] = []
 
     # -- fault control ------------------------------------------------------
 
@@ -132,11 +158,41 @@ class FaultyStorage(Storage):
         if self._advance_gate():
             raise StorageError("injected storage fault (disk full)")
 
+    def _write(self, name: str, *args: Any) -> Any:
+        """One gated mutation of the wrapped storage, noted as unsynced."""
+        self._write_gate()
+        result = getattr(self._inner, name)(*args)
+        self._unsynced.append((name, args))
+        return result
+
+    # -- durability ------------------------------------------------------------
+
+    def sync(self) -> int:
+        """Forward the barrier. A sync with writes behind it goes through
+        the write gate like any write (it is the one that waits for the
+        disk), so :meth:`fail_after` can fail it; only when it returns do
+        those writes count as surviving a :meth:`power_cut`."""
+        if not self._unsynced:
+            return self._inner.sync()
+        self._write_gate()
+        synced = self._inner.sync()
+        for name, args in self._unsynced:
+            getattr(self._durable, name)(*args)
+        self._unsynced.clear()
+        return synced
+
+    def power_cut(self) -> None:
+        """Lose every write since the last :meth:`sync` returned — what
+        the disk holds after the machine, not just the process, dies. The
+        wrapped storage is replaced by an in-memory image of that state."""
+        self._unsynced.clear()
+        self._inner = self._durable
+        self._durable = _image_of(self._inner)
+
     # -- Storage API (writes gated, reads passed through) --------------------
 
     def append_entry(self, entry: Any) -> int:
-        self._write_gate()
-        return self._inner.append_entry(entry)
+        return self._write("append_entry", entry)
 
     def append_entries(self, entries: Sequence[Any]) -> int:
         if self._advance_gate():
@@ -144,16 +200,18 @@ class FaultyStorage(Storage):
                 torn = len(entries) // 2
                 self.entries_torn += torn
                 self._inner.append_entries(entries[:torn])
+                self._unsynced.append(("append_entries", (entries[:torn],)))
                 raise StorageError(
                     f"injected torn write ({torn}/{len(entries)} entries "
                     f"persisted)"
                 )
             raise StorageError("injected storage fault (disk full)")
-        return self._inner.append_entries(entries)
+        new_len = self._inner.append_entries(entries)
+        self._unsynced.append(("append_entries", (tuple(entries),)))
+        return new_len
 
     def truncate_suffix(self, from_idx: int) -> None:
-        self._write_gate()
-        self._inner.truncate_suffix(from_idx)
+        self._write("truncate_suffix", from_idx)
 
     def get_entries(self, from_idx: int, to_idx: int) -> Tuple[Any, ...]:
         return self._inner.get_entries(from_idx, to_idx)
@@ -162,39 +220,35 @@ class FaultyStorage(Storage):
         return self._inner.log_len()
 
     def compact_prefix(self, idx: int) -> None:
-        self._write_gate()
-        self._inner.compact_prefix(idx)
+        self._write("compact_prefix", idx)
 
     def compacted_idx(self) -> int:
         return self._inner.compacted_idx()
 
     def set_snapshot(self, state: Any, covers_idx: int) -> None:
-        self._write_gate()
-        self._inner.set_snapshot(state, covers_idx)
+        self._write("set_snapshot", state, covers_idx)
 
     def get_snapshot(self) -> Optional[Tuple[Any, int]]:
         return self._inner.get_snapshot()
 
     def _reset_log_to(self, logical_len: int) -> None:
         self._inner._reset_log_to(logical_len)
+        self._unsynced.append(("_reset_log_to", (logical_len,)))
 
     def set_promise(self, ballot: Ballot) -> None:
-        self._write_gate()
-        self._inner.set_promise(ballot)
+        self._write("set_promise", ballot)
 
     def get_promise(self) -> Ballot:
         return self._inner.get_promise()
 
     def set_accepted_round(self, ballot: Ballot) -> None:
-        self._write_gate()
-        self._inner.set_accepted_round(ballot)
+        self._write("set_accepted_round", ballot)
 
     def get_accepted_round(self) -> Ballot:
         return self._inner.get_accepted_round()
 
     def set_decided_idx(self, idx: int) -> None:
-        self._write_gate()
-        self._inner.set_decided_idx(idx)
+        self._write("set_decided_idx", idx)
 
     def get_decided_idx(self) -> int:
         return self._inner.get_decided_idx()

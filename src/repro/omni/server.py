@@ -516,12 +516,45 @@ class OmniPaxosServer(Replica, Instrumented):
         self._pump()
 
     def take_outbox(self) -> List[Tuple[int, Envelope]]:
+        if self._outbox:
+            self._sync_storage()
         out, self._outbox = self._outbox, []
         return out
 
     def take_decided(self) -> List[Tuple[int, Any]]:
+        if self._crashed:
+            # A dead process acknowledges nothing; recover() keeps what
+            # storage proves decided and drops the rest.
+            return []
+        if self._decided_out:
+            self._sync_storage()
         out, self._decided_out = self._decided_out, []
         return out
+
+    def _sync_storage(self) -> None:
+        """The durability barrier: nothing leaves this replica ahead of
+        the state it attests.
+
+        Messages and decided entries are handed out only here, after every
+        storage mutation made so far is durable — so a ``Promise`` or
+        ``Accepted`` cannot outrun the promise or entries it reports, and
+        no client is acknowledged an entry a power cut could take back.
+        Because it sits at the hand-out and not at each write, all the
+        records one driver cycle produced share one write and one fsync.
+        If it raises, nothing is handed out; the driver must :meth:`crash`
+        this replica, which discards the queued messages.
+        """
+        obs = self._obs if self._obs_on else None
+        started_ms = obs.now_ms() if obs is not None else 0.0
+        records = 0
+        for inst in self._instances.values():
+            records += inst.sp.storage.sync()
+        if records and obs is not None:
+            obs.histogram("repro_storage_sync_ms", pid=self.pid).observe(
+                obs.now_ms() - started_ms)
+            obs.counter("repro_storage_sync_records_total",
+                        pid=self.pid).inc(records)
+            obs.counter("repro_storage_syncs_total", pid=self.pid).inc()
 
     # ------------------------------------------------------------------
     # Replica interface: failures
@@ -540,8 +573,13 @@ class OmniPaxosServer(Replica, Instrumented):
         self._pump()
 
     def crash(self) -> None:
-        """Lose all volatile state (persistent storage survives)."""
+        """Lose all volatile state (persistent storage survives).
+
+        Queued messages die with the process, and die *unsynced*: they may
+        attest state a failed or never-run sync did not persist.
+        """
         self._crashed = True
+        self._outbox = []
 
     def recover(self, now_ms: float) -> None:
         """Restart after a crash: rebuild volatile protocol state.
@@ -578,11 +616,14 @@ class OmniPaxosServer(Replica, Instrumented):
         ble.start(now_ms)
         inst.sp = sp
         inst.ble = ble
-        # Drop any global-log entries the service layer had applied beyond
-        # what storage proves decided (none with persistent storage, but be
-        # defensive about the invariant).
+        # Drop whatever the service layer applied or queued beyond what
+        # storage proves decided: the decided index is synced lazily (at
+        # the next hand-out), so a crash can leave the volatile view ahead
+        # of the disk. Those entries are decided again after the resync.
         proven = inst.global_offset + sp.decided_idx
         del self._global_log[proven:]
+        self._decided_out = [(idx, entry) for idx, entry in self._decided_out
+                             if idx < proven]
         self._pump()
 
     # ------------------------------------------------------------------
@@ -692,7 +733,20 @@ class OmniPaxosServer(Replica, Instrumented):
             for cid, inst in list(self._instances.items()):
                 if inst.active:
                     for ballot in inst.ble.take_leader_events():
-                        inst.sp.handle_leader(ballot)
+                        promise = inst.sp.storage.get_promise()
+                        if (ballot.pid == self.pid and ballot <= promise
+                                and not inst.sp.is_leader):
+                            # Elected in a round we cannot lead: Sequence
+                            # Paxos only leads above its promise, and this
+                            # ballot is one we led with before a restart
+                            # (or lies below a round we promised since).
+                            # Left alone we would stay BLE's choice and
+                            # never lead — a leader restarted within one
+                            # heartbeat round, or a whole cluster
+                            # restarted at once, would stall for good.
+                            inst.ble.outrank(promise)
+                        else:
+                            inst.sp.handle_leader(ballot)
                         progressed = True
                     for dst, msg in inst.ble.take_outbox():
                         self._post(dst, Envelope(cid, COMPONENT_BLE, msg))

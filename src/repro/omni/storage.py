@@ -10,16 +10,26 @@ storage is recoverable" (section 3). A replica persists four things:
 
 :class:`InMemoryStorage` is used by the simulator (crash-recovery tests keep
 the storage object across a simulated crash). :class:`FileStorage` is a real
-write-ahead implementation: an append-only record file replayed on open,
-for use with the asyncio runtime and the failure-injection tests.
+write-ahead implementation: an append-only file of checksummed records,
+replayed on open, for use with the asyncio runtime and the
+failure-injection tests.
+
+Durability is a *batch boundary*, not a per-record cost. Mutators change
+the in-memory view (and, in :class:`FileStorage`, stage a record);
+``sync()`` makes everything staged so far durable with one write and one
+fsync. The replica calls it before any message or decided entry leaves
+(``OmniPaxosServer.take_outbox`` / ``take_decided``), so nothing a peer or
+a client is told can be ahead of the disk, and all the records of one
+driver cycle share one fsync (group commit).
 """
 
 from __future__ import annotations
 
-import io
+import contextlib
 import os
 import pickle
 import struct
+import zlib
 from abc import ABC, abstractmethod
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -34,7 +44,8 @@ _REC_DECIDED = 4
 _REC_COMPACT = 5
 _REC_SNAPSHOT = 6
 
-_LEN = struct.Struct(">I")
+#: Record header: body length, CRC-32 of the body.
+_HEAD = struct.Struct(">II")
 
 
 class Storage(ABC):
@@ -43,6 +54,17 @@ class Storage(ABC):
     Log indices are *logical* and stable across compaction: after
     :meth:`compact_prefix`, entries below :meth:`compacted_idx` are gone
     from storage but every surviving entry keeps its original index.
+
+    Every concrete storage must also define ``sync() -> int``: make every
+    mutation since the previous call durable and return how many records
+    that was (0 when there was nothing to persist). Reads see a mutation
+    at once, but a crash may lose it until ``sync()`` has returned, so
+    whoever drives a replica calls it before letting out anything that
+    attests the mutated state (a ``Promise``, an ``Accepted``, a decided
+    entry). It is deliberately *not* declared on this class, abstract or
+    concrete: delegating proxies outside ``src/`` subclass the ABC and
+    forward unknown attributes to the storage they wrap, so an inherited
+    default would shadow the forwarding and silently turn the fsync off.
     """
 
     # -- log --------------------------------------------------------------
@@ -163,6 +185,9 @@ class InMemoryStorage(Storage):
         self._acc_rnd: Ballot = BOTTOM
         self._decided_idx: int = 0
 
+    def sync(self) -> int:
+        return 0  # nothing to persist: the object *is* the durable state
+
     def append_entry(self, entry: Any) -> int:
         self._log.append(entry)
         return self.log_len()
@@ -240,12 +265,37 @@ class InMemoryStorage(Storage):
         return self._decided_idx
 
 
+def _record_end(data: memoryview, start: int) -> Optional[int]:
+    """The offset just past the record at ``start`` when it is whole and
+    its checksum verifies, else ``None``."""
+    body = start + _HEAD.size
+    if body > len(data):
+        return None
+    size, crc = _HEAD.unpack_from(data, start)
+    end = body + size
+    # No record has an empty body, and eight zero bytes would otherwise
+    # verify (crc32(b"") == 0): a zero-filled tail must not read as valid.
+    if size == 0 or end > len(data) or zlib.crc32(data[body:end]) != crc:
+        return None
+    return end
+
+
 class FileStorage(Storage):
     """Append-only write-ahead storage backed by a single record file.
 
-    Records are length-framed pickles of ``(tag, payload)``. On open the
-    file is replayed to rebuild the in-memory view, so reads are always
-    served from memory while every mutation is durably appended first.
+    A record is ``[u32 length][u32 crc32][body]``, the body a pickle of
+    ``(tag, payload)``. On open the file is replayed to rebuild the
+    in-memory view, which serves every read. A mutator updates the view
+    and stages its record in memory; :meth:`sync` appends everything
+    staged with one ``write`` and, with ``sync=True``, one ``fsync`` — so
+    a mutation is durable once the next :meth:`sync` (or :meth:`close`)
+    has returned, not before.
+
+    Replay stops at a record that is short or fails its checksum. If no
+    valid record follows, it is the tail a crash tore: it is cut off the
+    file, so later records are never written behind garbage. If a valid
+    record does follow, the damage is in the middle of the log and opening
+    raises :class:`~repro.errors.StorageError` naming the byte offset.
     """
 
     def __init__(self, path: str, sync: bool = False) -> None:
@@ -257,30 +307,45 @@ class FileStorage(Storage):
         self._promise: Ballot = BOTTOM
         self._acc_rnd: Ballot = BOTTOM
         self._decided_idx: int = 0
-        self._replay()
-        self._file = open(path, "ab")
+        #: Framed records staged since the last sync, and how many.
+        self._pending = bytearray()
+        self._pending_records = 0
+        #: Length of the file's durable, verified prefix.
+        self._size = self._replay()
+        # Unbuffered: sync() is then exactly one write system call.
+        self._file = open(path, "ab", buffering=0)
+        try:
+            self._file.truncate(self._size)
+        except OSError as exc:
+            self._file.close()
+            raise StorageError(f"cannot truncate {path}: {exc}") from exc
 
     # -- record plumbing ---------------------------------------------------
 
-    def _replay(self) -> None:
+    def _replay(self) -> int:
+        """Rebuild the view from the file; returns the offset just past
+        the last good record."""
         if not os.path.exists(self._path):
-            return
+            return 0
         try:
             with open(self._path, "rb") as handle:
-                data = handle.read()
+                data = memoryview(handle.read())
         except OSError as exc:
             raise StorageError(f"cannot read {self._path}: {exc}") from exc
-        buf = io.BytesIO(data)
-        while True:
-            head = buf.read(_LEN.size)
-            if len(head) < _LEN.size:
-                break  # clean EOF or torn final record: stop replay here
-            (size,) = _LEN.unpack(head)
-            body = buf.read(size)
-            if len(body) < size:
-                break  # torn write at crash: discard the partial record
-            tag, payload = pickle.loads(body)
+        start = 0
+        while start < len(data):
+            end = _record_end(data, start)
+            if end is None:
+                for probe in range(start + 1, len(data) - _HEAD.size):
+                    if _record_end(data, probe) is not None:
+                        raise StorageError(
+                            f"{self._path}: corrupt record at byte offset "
+                            f"{start} (a valid record follows at {probe})")
+                break  # a torn tail: nothing after it was ever synced
+            tag, payload = pickle.loads(data[start + _HEAD.size:end])
             self._apply_record(tag, payload)
+            start = end
+        return start
 
     def _apply_record(self, tag: int, payload: Any) -> None:
         if tag == _REC_APPEND:
@@ -308,17 +373,37 @@ class FileStorage(Storage):
 
     def _write_record(self, tag: int, payload: Any) -> None:
         body = pickle.dumps((tag, payload), protocol=pickle.HIGHEST_PROTOCOL)
+        self._pending += _HEAD.pack(len(body), zlib.crc32(body))
+        self._pending += body
+        self._pending_records += 1
+
+    def sync(self) -> int:
+        """Make every staged record durable; returns how many there were."""
+        pending = self._pending
+        if not pending:
+            return 0
         try:
-            self._file.write(_LEN.pack(len(body)))
-            self._file.write(body)
-            self._file.flush()
+            if self._file.write(pending) != len(pending):
+                raise OSError("short write")
             if self._sync:
                 os.fsync(self._file.fileno())
         except OSError as exc:
+            # Put the file back as the last sync left it: part of this
+            # group followed by a retry of all of it would bury a torn
+            # record in the middle of the log, which replay refuses.
+            with contextlib.suppress(OSError):
+                self._file.truncate(self._size)
             raise StorageError(f"cannot write {self._path}: {exc}") from exc
+        self._size += len(pending)
+        self._pending = bytearray()
+        records, self._pending_records = self._pending_records, 0
+        return records
 
     def close(self) -> None:
-        self._file.close()
+        try:
+            self.sync()
+        finally:
+            self._file.close()
 
     # -- Storage API ---------------------------------------------------------
 

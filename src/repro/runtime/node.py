@@ -17,21 +17,31 @@ Two health-observatory surfaces (both opt-in):
   ``repro_link_rtt_ms`` histogram and feed the replica's gray-failure
   detector when it has one.
 
+Everything the replica wants out — messages and decided entries — leaves
+in :meth:`RuntimeNode._drain`: once after each socket read's batch of
+messages, and once per event-loop iteration for whatever proposals, ticks
+and restored sessions that iteration handled. The replica syncs its
+storage before handing anything to the drain, so all the records one
+socket read or one client burst produced share one fsync.
+
 With an enabled registry the node also keeps an always-on
 :class:`~repro.obs.flight.FlightRecorder`; if the tick loop dies with an
-unexpected exception the recorder dumps the final moments to
-``flight_dump_path`` before the error propagates.
+unexpected exception, or the replica's storage fails, the recorder dumps
+the final moments to ``flight_dump_path``. A storage failure stops the
+whole node (fail-recovery model): a replica that could not persist must
+not keep ticking and answering on state it does not have on disk.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, StorageError
 from repro.obs.exporters import metrics_snapshot
 from repro.obs.flight import FlightRecorder
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
@@ -58,7 +68,7 @@ class PipelineConfig:
     ``TcpMesh.get_write_buffer_size``) reaches ``write_buffer_high``; it
     unchokes only once both fall back to their low watermarks —
     hysteresis, so admission doesn't thrash at the boundary. Decided
-    entries observed in the node's flush path shrink the window.
+    entries observed in the node's drain shrink the window.
     """
 
     inflight_high: int = 4096
@@ -103,13 +113,13 @@ class RuntimeNode:
         self._pending: Deque[Any] = deque()
         self._inflight = 0
         self._choked = False
-        self._pumping = False
         self._mesh = TcpMesh(
             pid=replica.pid,
             listen=listen,
             peers=peers,
             on_message=self._handle_message,
             on_session_restored=self._handle_session_restored,
+            on_batch_end=self._drain,
             ping_interval_ms=ping_interval_ms,
             on_rtt=self._handle_rtt,
             wire=wire,
@@ -129,6 +139,8 @@ class RuntimeNode:
             self._obs.add_sink(self.flight)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._tick_task: Optional[asyncio.Task] = None
+        self._stop_task: Optional[asyncio.Task] = None
+        self._drain_handle: Optional[asyncio.Handle] = None
         self._running = False
         self._series: Optional["SeriesCollector"] = None
         self._series_memo: Dict[str, int] = {}
@@ -174,7 +186,7 @@ class RuntimeNode:
         if self._running:
             return
         self._running = True
-        self._loop = asyncio.get_event_loop()
+        self._loop = asyncio.get_running_loop()
         # The registry's clock follows this node's monotonic ms clock, so
         # runtime event timestamps are comparable to the replica's `now_ms`.
         self._obs.set_clock(self._now_ms)
@@ -183,12 +195,15 @@ class RuntimeNode:
             self._admin_server = await asyncio.start_server(
                 self._handle_admin, self._admin_addr[0], self._admin_addr[1]
             )
-        self._replica.start(self._now_ms())
-        self._flush()
+        self._step(self._replica.start)
         self._tick_task = asyncio.ensure_future(self._tick_loop())
 
     async def stop(self) -> None:
         self._running = False
+        stopping = self._stop_task
+        if stopping is not None and stopping is not asyncio.current_task():
+            await stopping  # a storage failure is already stopping us
+            return
         if self._tick_task is not None:
             self._tick_task.cancel()
         if self._admin_server is not None:
@@ -204,16 +219,14 @@ class RuntimeNode:
             self._pending.append(entry)
             self._pump_proposals()
             return
-        self._replica.propose(entry, self._now_ms())
-        self._flush()
+        self._step(self._replica.propose, entry)
 
     def propose_batch(self, entries: List[Any]) -> None:
         if self._pipeline is not None:
             self._pending.extend(entries)
             self._pump_proposals()
             return
-        self._replica.propose_batch(entries, self._now_ms())
-        self._flush()
+        self._step(self._replica.propose_batch, entries)
 
     @property
     def pending_proposals(self) -> int:
@@ -229,17 +242,12 @@ class RuntimeNode:
         """Admit pending entries in ``max_batch`` chunks while unchoked.
 
         The in-flight window counts entries this node admitted minus
-        decided entries observed in :meth:`_flush`; the byte watermark
+        decided entries observed in :meth:`_drain`; the byte watermark
         reads the transport's combined asyncio + staging buffers. Both
         use choke/unchoke hysteresis (see :class:`PipelineConfig`).
         """
         cfg = self._pipeline
         assert cfg is not None
-        if self._pumping:
-            # _flush inside the admission loop below re-enters here when
-            # entries decide synchronously; the outer loop will see the
-            # updated window itself.
-            return
         if self._choked:
             if (self._inflight <= cfg.inflight_low
                     and self._mesh.get_write_buffer_size()
@@ -248,24 +256,19 @@ class RuntimeNode:
             else:
                 return
         pending = self._pending
-        self._pumping = True
-        try:
-            while pending and not self._choked:
-                if (self._inflight >= cfg.inflight_high
-                        or self._mesh.get_write_buffer_size()
-                        >= cfg.write_buffer_high):
-                    self._choked = True
-                    break
-                batch = []
-                take = min(cfg.max_batch,
-                           cfg.inflight_high - self._inflight, len(pending))
-                for _ in range(take):
-                    batch.append(pending.popleft())
-                self._replica.propose_batch(batch, self._now_ms())
-                self._inflight += len(batch)
-                self._flush()
-        finally:
-            self._pumping = False
+        while pending and not self._choked:
+            if (self._inflight >= cfg.inflight_high
+                    or self._mesh.get_write_buffer_size()
+                    >= cfg.write_buffer_high):
+                self._choked = True
+                break
+            batch = []
+            take = min(cfg.max_batch,
+                       cfg.inflight_high - self._inflight, len(pending))
+            for _ in range(take):
+                batch.append(pending.popleft())
+            self._step(self._replica.propose_batch, batch)
+            self._inflight += len(batch)
 
     # ------------------------------------------------------------------
 
@@ -340,14 +343,12 @@ class RuntimeNode:
         try:
             while self._running:
                 await asyncio.sleep(self._tick_s)
-                self._replica.tick(self._now_ms())
-                self._flush()
-                if self._pipeline is not None and self._pending:
-                    # Watermark re-check even when no decide arrived this
-                    # tick (e.g. the write buffer drained).
-                    self._pump_proposals()
-                # Tick boundary: push any staged-but-unflushed frames out.
-                self._mesh.flush()
+                with contextlib.suppress(StorageError):  # node is stopping
+                    self._step(self._replica.tick)
+                    if self._pipeline is not None and self._pending:
+                        # Watermark re-check even when no decide arrived
+                        # this tick (e.g. the write buffer drained).
+                        self._pump_proposals()
                 if self._series is not None:
                     self._sample_series()
         except asyncio.CancelledError:
@@ -355,44 +356,103 @@ class RuntimeNode:
         except Exception:
             # The node is about to die unexpectedly: preserve the final
             # moments for post-mortem before the exception propagates.
-            if self.flight is not None and self._flight_dump_path is not None:
-                try:
-                    self.dump_flight(self._flight_dump_path)
-                except OSError:
-                    pass
+            self._dump_flight_on_death()
             raise
 
+    def _dump_flight_on_death(self) -> None:
+        if self.flight is not None and self._flight_dump_path is not None:
+            with contextlib.suppress(OSError):
+                self.dump_flight(self._flight_dump_path)
+
     def _handle_message(self, src: int, payload: Any) -> None:
-        self._replica.on_message(src, payload, self._now_ms())
-        self._flush()
+        # No drain scheduled: the mesh calls _drain itself once it has
+        # delivered every message of this socket read.
+        try:
+            self._replica.on_message(src, payload, self._now_ms())
+        except StorageError:
+            # Stop the node — and do not let the error kill the
+            # transport's reader task for this one connection instead.
+            self._storage_failed()
 
     def _handle_session_restored(self, peer: int) -> None:
-        self._replica.on_session_drop(peer, self._now_ms())
-        self._flush()
+        with contextlib.suppress(StorageError):
+            self._step(self._replica.on_session_drop, peer)
 
     def _handle_rtt(self, peer: int, rtt_ms: float) -> None:
         detector = getattr(self._replica, "gray_detector", None)
         if detector is not None:
             detector.observe_rtt(peer, rtt_ms)
 
-    def _flush(self) -> None:
-        for dst, msg in self._replica.take_outbox():
-            self._mesh.send(dst, msg)
-        if self._on_decided is None:
-            # No handler: leave decided entries queued in the replica for an
-            # external consumer (e.g. a ReplicatedKVStore pumping it).
+    def _step(self, method: Callable[..., None], *args: Any) -> None:
+        """One call into the replica at the current time, then a drain on
+        the next event-loop iteration — one however many steps this
+        iteration takes."""
+        try:
+            method(*args, self._now_ms())
+        except StorageError:
+            self._storage_failed()
+            raise
+        if self._drain_handle is None:
+            assert self._loop is not None
+            self._drain_handle = self._loop.call_soon(self._drain)
+
+    def _drain(self) -> None:
+        """Hand everything the replica queued to the mesh and the decided
+        handler, then write the sockets.
+
+        Runs when the mesh has delivered the last message of a socket
+        read, and on the iteration after any other step (a proposal, a
+        tick, a restored session). ``take_outbox`` / ``take_decided`` sit
+        behind the replica's durability barrier, so however many calls fed
+        this drain there is one storage sync, and it precedes the first
+        ``mesh.send``. A handler that proposes schedules the next drain
+        itself.
+        """
+        if self._drain_handle is not None:
+            # Everything queued so far leaves now; a drain still scheduled
+            # (we were called at the end of an inbound batch) has nothing
+            # left to do.
+            self._drain_handle.cancel()
+            self._drain_handle = None
+        if not self._running:
             return
-        decided = 0
-        for idx, entry in self._replica.take_decided():
-            decided += 1
-            self._on_decided(idx, entry)
-        if decided and self._pipeline is not None:
-            # Decided entries shrink the in-flight window (floored at 0:
-            # a follower also sees entries it never admitted) and may
-            # reopen admission for queued proposals.
-            self._inflight = max(0, self._inflight - decided)
-            if self._pending:
-                self._pump_proposals()
+        try:
+            outbox = self._replica.take_outbox()
+            for dst, msg in outbox:
+                self._mesh.send(dst, msg)
+            # No handler: leave decided entries queued in the replica for
+            # an external consumer (e.g. a ReplicatedKVStore pumping it).
+            if self._on_decided is not None:
+                decided = self._replica.take_decided()
+                for idx, entry in decided:
+                    self._on_decided(idx, entry)
+                if decided and self._pipeline is not None:
+                    # Decided entries shrink the in-flight window (floored
+                    # at 0: a follower also sees entries it never admitted)
+                    # and may reopen admission for queued proposals.
+                    self._inflight = max(0, self._inflight - len(decided))
+                    if self._pending:
+                        self._pump_proposals()
+        except StorageError:
+            self._storage_failed()
+            return
+        if outbox:
+            self._mesh.flush()
+
+    def _storage_failed(self) -> None:
+        """The replica could not persist: crash it and stop the node.
+
+        By the fail-recovery model a server that cannot write must not go
+        on ticking and answering from state it does not have on disk; what
+        it had queued dies with it (``crash`` discards the outbox unsynced).
+        """
+        if not self._running:
+            return
+        self._running = False
+        self._replica.crash()
+        self._dump_flight_on_death()
+        assert self._loop is not None
+        self._stop_task = self._loop.create_task(self.stop())
 
     # -- admin endpoint ------------------------------------------------------
 

@@ -17,7 +17,7 @@ staged frame for a peer in one ``writer.write`` — with TCP_NODELAY (the
 asyncio default) per-message writes are per-packet and per-reader-wakeup,
 so batching them is the dominant wall-clock win. Staged bytes above
 ``coalesce_bytes`` flush immediately; ``RuntimeNode`` also calls
-:meth:`flush` at each tick boundary. Writes are bounded: when a peer's
+:meth:`flush` at the end of each of its drains. Writes are bounded: when a peer's
 asyncio write buffer plus staged bytes exceed ``max_write_buffer_bytes``
 the message is dropped and counted under
 ``repro_messages_dropped_total{reason="backpressure"}`` — the semantics
@@ -104,6 +104,7 @@ class TcpMesh(Instrumented):
         peers: Dict[int, PeerAddress],
         on_message: MessageHandler,
         on_session_restored: Optional[SessionHandler] = None,
+        on_batch_end: Optional[Callable[[], None]] = None,
         reconnect_initial_ms: float = 50.0,
         reconnect_max_ms: float = 2_000.0,
         rng: Optional[random.Random] = None,
@@ -122,6 +123,9 @@ class TcpMesh(Instrumented):
         self._peers = dict(peers)
         self._on_message = on_message
         self._on_session_restored = on_session_restored
+        #: Called once after the messages of one socket read were all
+        #: handed to ``on_message`` — where the owner acts on the batch.
+        self._on_batch_end = on_batch_end
         self._reconnect_initial = reconnect_initial_ms / 1000.0
         self._reconnect_max = reconnect_max_ms / 1000.0
         #: Jitter source (injectable for deterministic tests); seeded from
@@ -140,7 +144,8 @@ class TcpMesh(Instrumented):
         #: flush writes a peer's whole buffer in a single syscall.
         self._staged: Dict[int, bytearray] = {}
         self._staged_frames: Dict[int, int] = {}
-        self._flush_scheduled = False
+        #: The scheduled per-iteration flush, while one is pending.
+        self._flush_handle: Optional[asyncio.Handle] = None
         #: Latest measured round trip per peer (ms), ping-loop sampled.
         self.link_rtt_ms: Dict[int, float] = {}
         self._ping_task: Optional[asyncio.Task] = None
@@ -192,7 +197,7 @@ class TcpMesh(Instrumented):
 
         The frame is *staged*, not written: a flush scheduled on the
         current event-loop iteration (or an earlier size-threshold /
-        tick-boundary flush) writes every frame staged for ``dst`` in one
+        end-of-drain flush) writes every frame staged for ``dst`` in one
         syscall. Per-peer FIFO is preserved — frames drain in stage order.
         """
         writer = self._writers.get(dst)
@@ -232,28 +237,28 @@ class TcpMesh(Instrumented):
         self._staged_frames[dst] += 1
         if len(staged) >= self._coalesce_bytes:
             self._flush_peer(dst)
-        elif not self._flush_scheduled:
-            self._flush_scheduled = True
+        elif self._flush_handle is None:
             try:
-                asyncio.get_running_loop().call_soon(self._flush_soon)
+                self._flush_handle = asyncio.get_running_loop().call_soon(
+                    self.flush)
             except RuntimeError:
                 # No running loop (sync test harness): degrade to an
                 # immediate write so bare sends still go out.
-                self._flush_scheduled = False
                 self._flush_peer(dst)
 
     def flush(self) -> None:
         """Write out every staged frame now (one syscall per peer).
 
-        Called by ``RuntimeNode`` at each tick boundary, by the
+        Called by ``RuntimeNode`` at the end of each drain, by the
         size-threshold path, and by the scheduled per-iteration flush.
         """
+        if self._flush_handle is not None:
+            # Whoever flushes first (the owner at the end of its drain, or
+            # the scheduled call itself) leaves the other nothing to do.
+            self._flush_handle.cancel()
+            self._flush_handle = None
         for dst in list(self._staged):
             self._flush_peer(dst)
-
-    def _flush_soon(self) -> None:
-        self._flush_scheduled = False
-        self.flush()
 
     def _flush_peer(self, dst: int) -> None:
         staged = self._staged.get(dst)
@@ -344,6 +349,8 @@ class TcpMesh(Instrumented):
                         self._record_rtt(src, payload)
                     else:
                         self._on_message(src, payload)
+                if messages and self._on_batch_end is not None:
+                    self._on_batch_end()
                 if decoder.poisoned:
                     # Good frames decoded ahead of the corruption in the
                     # same read were delivered above; the stream past

@@ -188,7 +188,9 @@ class SimCluster:
             raise ConfigError(f"unknown pid {pid}")
         self._crashed.add(pid)
         self._replicas[pid].crash()
-        # A crashed process's queued-but-unsent messages die with it.
+        # A crashed process's queued-but-unsent messages die with it, and
+        # die unsynced: crash() comes first, so a replica with a durability
+        # barrier has already dropped them and runs no sync here.
         self._replicas[pid].take_outbox()
 
     def recover(self, pid: int) -> None:
@@ -393,12 +395,18 @@ class SimCluster:
 
     def _flush(self, pid: int) -> None:
         replica = self._replicas[pid]
-        outbox = replica.take_outbox()
-        if outbox:
-            send = self._network.send
-            for dst, msg in outbox:
-                send(pid, dst, msg)
-        decided = replica.take_decided()
+        try:
+            # Both calls are behind the replica's durability barrier,
+            # which is where a disk that fails its sync surfaces.
+            outbox = replica.take_outbox()
+            if outbox:
+                send = self._network.send
+                for dst, msg in outbox:
+                    send(pid, dst, msg)
+            decided = replica.take_decided()
+        except StorageError:
+            self._handle_storage_failure(pid)
+            return
         if decided and self._decided_observers:
             now = self._queue.now
             for idx, entry in decided:

@@ -1,0 +1,239 @@
+"""The durability barrier, made falsifiable.
+
+Killing a process keeps whatever the operating system already holds, so it
+cannot tell a replica that syncs before it speaks from one that does not.
+A *power cut* can: :meth:`FaultyStorage.power_cut` discards everything
+written since the last ``sync()`` returned. The rule under test — nothing
+leaves ``OmniPaxosServer`` ahead of the state it attests — then reads: cut
+every server at the same instant, at any instant, and no entry a client
+was told is decided may be missing afterwards.
+
+The negative control runs the same schedule on storages whose ``sync()``
+does nothing and requires the suite to *fail* there, so it cannot pass
+vacuously.
+"""
+
+import asyncio
+import random
+
+import pytest
+
+from repro.chaos.checker import DecidedLogChecker, command_validator
+from repro.obs.registry import MetricsRegistry
+from repro.omni.entry import Command
+from repro.omni.faults import FaultyStorage
+from repro.omni.server import ClusterConfig, OmniPaxosConfig, OmniPaxosServer
+from repro.omni.storage import FileStorage, InMemoryStorage
+from repro.runtime import RuntimeNode
+from repro.sim.workload import ClosedLoopClient, WorkloadParams
+
+from tests.conftest import build_omni_cluster, run_until_leader
+from tests.test_wire_runtime import make_addrs, wait_for
+
+CUTS = 20
+HB_MS = 20.0
+
+
+class NeverSyncs(FaultyStorage):
+    """The bug the suite exists to catch: a barrier that does not sync."""
+
+    def sync(self) -> int:
+        return 0
+
+
+def run_power_cut_schedule(n, seed, storage_cls):
+    """A closed-loop client against ``n`` servers, all of which lose power
+    at ``CUTS`` seeded instants. Returns the checker, the acknowledged
+    sequence numbers, and the servers.
+
+    The lights go out *inside* a server's send loop, at a seeded message:
+    that message and the rest of its burst are lost, and so is whatever
+    the sender would have handed out next. Cutting only between simulator
+    events would never catch a server with its outbox half sent."""
+    rng = random.Random(seed)
+    storages = []
+
+    def factory(config_id):
+        storages.append(storage_cls(InMemoryStorage()))
+        return storages[-1]
+
+    sim, servers = build_omni_cluster(n, hb_period_ms=HB_MS,
+                                      storage_factory=factory)
+    client = ClosedLoopClient(sim, WorkloadParams(
+        concurrent_proposals=4, proposal_timeout_ms=8 * HB_MS))
+    checker = DecidedLogChecker(command_validator(lambda: client.next_seq))
+    acked = set()
+    sim.on_decided(checker.observe)
+    sim.on_decided(lambda pid, idx, entry, now: acked.add(entry.seq))
+    client.start()
+
+    sends_left = [None]  # messages until the cut; None = not armed
+    real_send = sim.network.send
+
+    def send(src, dst, msg):
+        if sends_left[0] is not None:
+            sends_left[0] -= 1
+            if sends_left[0] < 0:
+                sends_left[0] = None
+                for pid in sim.pids:
+                    sim.crash(pid)
+                for storage in storages:
+                    storage.power_cut()
+        if not sim.is_crashed(src):
+            real_send(src, dst, msg)
+
+    sim.network.send = send
+
+    def depose_leader():
+        leaders = sim.leaders()
+        if leaders:
+            sim.crash(leaders[0])
+        return leaders
+
+    for cut in range(CUTS):
+        # Long enough to elect a leader and commit a few hundred entries.
+        sim.run_for(rng.uniform(15, 25) * HB_MS)
+        if cut % 3 == 1:
+            # Mid-Prepare: cut while the deposed leader's successor is
+            # still collecting promises.
+            depose_leader()
+            sim.run_for(rng.uniform(2, 6) * HB_MS)
+        elif cut % 3 == 2:
+            # Right after a leader change: cut within a few messages of
+            # the new leader appearing.
+            before = depose_leader()
+            for _ in range(400):
+                sim.run_for(0.5)
+                if sim.leaders() and sim.leaders() != before:
+                    break
+        # Otherwise mid-burst, in the steady state.
+        sends_left[0] = rng.randrange(0, 12)
+        while sends_left[0] is not None:
+            sim.run_for(0.5)
+        for pid in sim.pids:
+            sim.recover(pid)
+    client.stop()
+    sim.run_for(60 * HB_MS)
+    return checker, acked, servers
+
+
+def lost_acknowledged(acked, servers):
+    """Acknowledged sequence numbers missing from some server's log."""
+    lost = set()
+    for server in servers.values():
+        have = {entry.seq for entry in server.read_log()
+                if isinstance(entry, Command)}
+        lost |= acked - have
+    return lost
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_no_acknowledged_entry_is_lost_to_a_power_cut(n):
+    checker, acked, servers = run_power_cut_schedule(n, seed=12 + n,
+                                                     storage_cls=FaultyStorage)
+    assert checker.ok, checker.violation
+    assert len(acked) > 200, "the schedule must commit through the cuts"
+    assert lost_acknowledged(acked, servers) == set()
+    logs = [server.read_log() for server in servers.values()]
+    assert all(log == logs[0] for log in logs)
+
+
+def test_negative_control_a_barrier_that_does_not_sync_loses_entries():
+    checker, acked, servers = run_power_cut_schedule(3, seed=15,
+                                                     storage_cls=NeverSyncs)
+    assert not checker.ok or lost_acknowledged(acked, servers)
+
+
+class CountingStorage(InMemoryStorage):
+    def __init__(self, journal):
+        super().__init__()
+        self._journal = journal
+
+    def sync(self) -> int:
+        self._journal.append("sync")
+        return 0
+
+
+def test_one_loop_turn_of_proposals_costs_the_leader_one_sync():
+    """N proposals issued without yielding to the loop leave in one drain:
+    one ``sync()``, and it comes before the first ``mesh.send``."""
+    proposals = 16
+
+    async def scenario():
+        journal = []
+        cc = ClusterConfig(0, (1, 2, 3))
+        addrs = make_addrs(list(cc.servers))
+        nodes = {}
+        for p in cc.servers:
+            kwargs = {}
+            if p == 1:
+                kwargs["storage_factory"] = (
+                    lambda cid: CountingStorage(journal))
+            nodes[p] = RuntimeNode(
+                OmniPaxosServer(OmniPaxosConfig(
+                    pid=p, cluster=cc, hb_period_ms=40.0, initial_leader=1,
+                    **kwargs)),
+                addrs[p], {q: a for q, a in addrs.items() if q != p},
+                tick_ms=5.0, on_decided=lambda idx, entry: None)
+        leader = nodes[1]
+        real_send, real_drain = leader._mesh.send, leader._drain
+        leader._mesh.send = lambda dst, msg: (
+            journal.append("send"), real_send(dst, msg))
+        leader._drain = lambda: (journal.append("drain"), real_drain())
+        leader._mesh._on_batch_end = leader._drain  # bound at construction
+        for node in nodes.values():
+            await node.start()
+        try:
+            await wait_for(lambda: all(
+                n.leader_pid == 1 and len(n.connected_peers) == 2
+                for n in nodes.values()))
+            leader.propose(Command(data=b"w", client_id=1, seq=0))  # warm up
+            await asyncio.sleep(0.1)
+            del journal[:]
+            for seq in range(1, proposals + 1):
+                leader.propose(Command(data=b"b", client_id=1, seq=seq))
+            assert journal == [], "nothing leaves inside propose()"
+            await wait_for(lambda: journal.count("drain") >= 2)
+        finally:
+            for node in nodes.values():
+                await node.stop()
+        return journal
+
+    journal = asyncio.run(scenario())
+    first = journal[1:journal.index("drain", 1)]
+    assert journal[0] == "drain"
+    assert first.count("sync") == 1 and first[0] == "sync"
+    # Every proposal's AcceptDecide went to both followers in that cycle.
+    assert first.count("send") >= 2 * proposals
+
+
+@pytest.mark.parametrize("observed", [True, False])
+def test_barrier_metrics_count_records_per_sync(tmp_path, observed):
+    """Is a slow commit waiting on the disk, and how many records share
+    each sync? Answered only when someone is listening."""
+    opened = []
+
+    def factory(config_id):
+        opened.append(FileStorage(str(tmp_path / f"{len(opened)}.wal")))
+        return opened[-1]
+
+    sim, servers = build_omni_cluster(3, storage_factory=factory)
+    reg = MetricsRegistry()
+    if observed:
+        for server in servers.values():
+            server.set_observability(reg)
+    leader = run_until_leader(sim)
+    sim.propose_batch(leader, [Command(b"m", 1, seq) for seq in range(8)])
+    sim.run_for(100)
+    assert all(s.global_log_len == 8 for s in servers.values())
+    for storage in opened:
+        storage.close()
+    syncs = reg.sum_counter("repro_storage_syncs_total")
+    records = reg.sum_counter("repro_storage_sync_records_total")
+    timed = sum(m.count for m in reg.metrics()
+                if m.name == "repro_storage_sync_ms")
+    if observed:
+        assert syncs > 0 and timed == syncs
+        assert records > syncs, "some sync carried more than one record"
+    else:
+        assert syncs == records == timed == 0

@@ -217,3 +217,138 @@ class TestTornWrites:
         assert servers[2].global_log_len >= torn_len
         assert decided_logs_agree(servers)
         check_all(servers.values())
+
+
+class TestSyncAndPowerCut:
+    def test_sync_forwards_to_the_wrapped_storage(self, tmp_path):
+        from repro.omni.storage import FileStorage
+
+        inner = FileStorage(str(tmp_path / "wal.bin"))
+        storage = FaultyStorage(inner)
+        storage.append_entries(["a", "b"])
+        storage.set_decided_idx(1)
+        assert storage.sync() == 2
+        assert storage.sync() == 0
+        inner.close()
+
+    def test_idle_sync_is_not_a_write(self):
+        storage = FaultyStorage(InMemoryStorage())
+        storage.fail_after(0)
+        assert storage.sync() == 0  # nothing behind it: no disk involved
+        assert storage.writes_attempted == 0
+
+    def test_fail_after_can_fail_the_sync(self):
+        storage = FaultyStorage(InMemoryStorage())
+        storage.fail_after(1)
+        storage.append_entry("a")
+        with pytest.raises(StorageError):
+            storage.sync()
+        assert storage.writes_failed == 1
+        storage.heal()
+        assert storage.sync() == 0  # InMemoryStorage has no records
+
+    def test_power_cut_loses_exactly_the_unsynced_writes(self):
+        storage = FaultyStorage(InMemoryStorage())
+        storage.append_entries(["a", "b", "c"])
+        storage.set_promise(Ballot(1, 0, 1))
+        storage.set_decided_idx(2)
+        storage.sync()
+        storage.truncate_suffix(2)
+        storage.append_entries(["d", "e"])
+        storage.set_promise(Ballot(5, 0, 2))
+        storage.set_accepted_round(Ballot(5, 0, 2))
+        storage.set_decided_idx(4)
+        storage.power_cut()
+        assert storage.get_entries(0, 10) == ("a", "b", "c")
+        assert storage.get_promise() == Ballot(1, 0, 1)
+        assert storage.get_decided_idx() == 2
+        # And what is written after the cut builds on the restored state.
+        storage.append_entry("f")
+        storage.sync()
+        storage.set_decided_idx(4)
+        storage.power_cut()
+        assert storage.get_entries(0, 10) == ("a", "b", "c", "f")
+        assert storage.get_decided_idx() == 2
+
+    def test_power_cut_rolls_back_compaction_and_snapshots(self):
+        storage = FaultyStorage(InMemoryStorage())
+        storage.append_entries(["a", "b", "c", "d"])
+        storage.set_decided_idx(4)
+        storage.sync()
+        storage.set_snapshot("abc", 3)
+        storage.compact_prefix(3)
+        storage.install_snapshot("abcdefg", 7)
+        assert storage.compacted_idx() == 7
+        storage.power_cut()
+        assert storage.compacted_idx() == 0
+        assert storage.get_snapshot() is None
+        assert storage.get_entries(0, 10) == ("a", "b", "c", "d")
+
+    def test_wrapping_a_used_storage_starts_from_its_state(self):
+        inner = InMemoryStorage()
+        inner.append_entries(["a", "b"])
+        inner.set_decided_idx(1)
+        storage = FaultyStorage(inner)
+        storage.append_entry("c")
+        storage.power_cut()
+        assert storage.get_entries(0, 10) == ("a", "b")
+        assert storage.get_decided_idx() == 1
+
+    def test_a_torn_prefix_that_was_never_synced_is_lost_too(self):
+        storage = FaultyStorage(InMemoryStorage())
+        storage.fail_after(0, mode="torn")
+        with pytest.raises(StorageError):
+            storage.append_entries(["a", "b", "c", "d"])
+        assert storage.log_len() == 2
+        storage.power_cut()
+        assert storage.log_len() == 0
+
+
+class TestBarrierFailureInSim:
+    def test_failed_sync_crashes_the_server_and_nothing_leaves(self):
+        """The follower's append succeeds in memory and its sync fails at
+        the barrier: the sim crashes it, the ``Accepted`` it had queued is
+        never sent, the majority carries on, and it rejoins after repair."""
+        from repro.omni.messages import Accepted
+
+        cc = ClusterConfig(0, (1, 2, 3))
+        queue = EventQueue()
+        net = SimNetwork(queue, NetworkParams(one_way_ms=0.1))
+        faulty = FaultyStorage(InMemoryStorage())
+        storages = {1: InMemoryStorage(), 2: faulty, 3: InMemoryStorage()}
+        servers = {
+            pid: OmniPaxosServer(OmniPaxosConfig(
+                pid=pid, cluster=cc, hb_period_ms=50.0, initial_leader=1,
+                storage_factory=lambda cid, s=storages[pid]: s))
+            for pid in cc.servers
+        }
+        sim = SimCluster(servers, net, queue, tick_ms=5.0)
+        sim.start()
+        sim.run_for(200)
+        sim.propose(1, cmd(0))
+        sim.run_for(50)
+        assert all(s.global_log_len == 1 for s in servers.values())
+
+        accepted_by_2 = []
+        real_send = net.send
+
+        def spy(src, dst, msg):
+            if src == 2 and isinstance(msg.payload, Accepted):
+                accepted_by_2.append(msg)
+            real_send(src, dst, msg)
+
+        net.send = spy
+        faulty.fail_after(1)  # the append goes through, the sync does not
+        sim.propose(1, cmd(1))
+        sim.run_for(50)
+        assert faulty.log_len() == 2, "the append itself succeeded"
+        assert sim.is_crashed(2) and sim.storage_crashes == 1
+        assert accepted_by_2 == [], "attested state that was never synced"
+        assert servers[2].take_outbox() == []
+        assert servers[1].global_log_len == servers[3].global_log_len == 2
+
+        faulty.heal()
+        sim.recover(2)
+        sim.run_for(1_000)
+        assert servers[2].global_log_len == 2
+        assert decided_logs_agree(servers)

@@ -79,6 +79,39 @@ class TestDurableRecovery:
         reopened.close()
 
 
+class TestRestartLiveness:
+    """A restarted leader must come back with a ballot above the one it
+    led with; under the same ballot BLE keeps choosing it while Sequence
+    Paxos refuses to lead with it again, and the cluster stalls."""
+
+    def _committing(self, sim, servers, leader, first_seq):
+        for i in range(first_seq, first_seq + 3):
+            sim.propose(leader, cmd(i))
+        sim.run_for(100)
+        return all(s.global_log_len == first_seq + 3
+                   for s in servers.values())
+
+    def test_leader_restarted_within_one_heartbeat_round(self):
+        sim, servers = build_omni_cluster(3)
+        leader = run_until_leader(sim)
+        assert self._committing(sim, servers, leader, 0)
+        sim.crash(leader)
+        sim.recover(leader)  # before any peer's round could miss it
+        leader = run_until_leader(sim, max_ms=2_000.0)
+        assert self._committing(sim, servers, leader, 3)
+
+    def test_every_server_restarted_at_once(self):
+        sim, servers = build_omni_cluster(3)
+        leader = run_until_leader(sim)
+        assert self._committing(sim, servers, leader, 0)
+        for pid in sim.pids:
+            sim.crash(pid)
+        for pid in sim.pids:
+            sim.recover(pid)
+        leader = run_until_leader(sim, max_ms=2_000.0)
+        assert self._committing(sim, servers, leader, 3)
+
+
 class TestMessageLoss:
     def test_progress_despite_random_loss(self):
         """Dropped messages delay but never break the protocol (retries via

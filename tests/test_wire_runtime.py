@@ -442,6 +442,81 @@ class TestPipelining:
         asyncio.run(scenario())
 
 
+class TestStorageFailure:
+    @pytest.mark.parametrize("good_writes", [
+        0,  # the append fails, inside the message handler
+        1,  # the append goes through; the sync behind it fails, in the drain
+    ])
+    def test_storage_failure_stops_the_node_not_one_socket_reader(
+            self, tmp_path, good_writes):
+        """A follower whose disk fails must stop as a whole — replica
+        crashed, flight recorder dumped, nothing sent from the failing
+        cycle — instead of losing one inbound reader task and carrying on
+        ticking. The other two keep deciding."""
+        from repro.omni.faults import FaultyStorage
+        from repro.omni.messages import Accepted
+        from repro.omni.storage import InMemoryStorage
+
+        dump = tmp_path / "node2.flight.jsonl"
+
+        async def scenario():
+            failures = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, ctx: failures.append(ctx))
+            cc = ClusterConfig(0, (1, 2, 3))
+            addrs = make_addrs(list(cc.servers))
+            faulty = FaultyStorage(InMemoryStorage())
+            decided = {p: [] for p in cc.servers}
+            nodes = {}
+            for p in cc.servers:
+                kwargs = {}
+                if p == 2:
+                    kwargs["storage_factory"] = lambda cid: faulty
+                server = OmniPaxosServer(OmniPaxosConfig(
+                    pid=p, cluster=cc, hb_period_ms=40.0, initial_leader=1,
+                    **kwargs))
+                nodes[p] = RuntimeNode(
+                    server, addrs[p],
+                    {q: a for q, a in addrs.items() if q != p},
+                    tick_ms=5.0,
+                    on_decided=lambda i, e, p=p: decided[p].append(e.seq),
+                    obs=MetricsRegistry() if p == 2 else None,
+                    flight_dump_path=str(dump) if p == 2 else None)
+            for node in nodes.values():
+                await node.start()
+            try:
+                await wait_for(lambda: all(
+                    n.leader_pid == 1 and len(n.connected_peers) == 2
+                    for n in nodes.values()))
+                nodes[1].propose(Command(data=b"s", client_id=1, seq=0))
+                await wait_for(lambda: all(d == [0]
+                                           for d in decided.values()))
+                sent_by_2 = []
+                real_send = nodes[2]._mesh.send
+                nodes[2]._mesh.send = lambda dst, msg: (
+                    sent_by_2.append(msg), real_send(dst, msg))
+                faulty.fail_after(good_writes)
+                nodes[1].propose(Command(data=b"s", client_id=1, seq=1))
+                await wait_for(
+                    lambda: nodes[2].status()["phase"] == "crashed")
+                await nodes[2].stop()  # joins the stop already under way
+                assert nodes[2].connected_peers == ()
+                assert not any(isinstance(m.payload, Accepted)
+                               for m in sent_by_2)
+                # The majority carries on without it.
+                nodes[1].propose(Command(data=b"s", client_id=1, seq=2))
+                await wait_for(lambda: decided[1] == decided[3] == [0, 1, 2])
+                assert decided[2] == [0]
+            finally:
+                for node in nodes.values():
+                    await node.stop()
+            await asyncio.sleep(0.1)  # let task-exception callbacks fire
+            return failures
+
+        assert asyncio.run(scenario()) == []
+        assert dump.exists() and dump.stat().st_size > 0
+
+
 class TestUvloop:
     def test_install_uvloop_is_gated(self):
         # The container has no uvloop: the helper must report False and
