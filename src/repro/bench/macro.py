@@ -162,7 +162,7 @@ def _build_runtime_replica(protocol: str, pid: int, servers: tuple,
     raise ValueError(f"runtime macro bench has no builder for {protocol!r}")
 
 
-async def _runtime_macro_run(protocol: str, wire: str, n_entries: int,
+async def _runtime_macro_run(protocol: str, n_entries: int,
                              payload_bytes: int, num_servers: int,
                              seed: int, tick_ms: float) -> Dict[str, Any]:
     from repro.omni.entry import Command
@@ -183,7 +183,6 @@ async def _runtime_macro_run(protocol: str, wire: str, n_entries: int,
                 all_decided.set()
         return on_decided
 
-    legacy = wire == "pickle"
     nodes = {}
     for p in servers:
         replica = _build_runtime_replica(protocol, p, servers, seed)
@@ -192,12 +191,7 @@ async def _runtime_macro_run(protocol: str, wire: str, n_entries: int,
             {q: a for q, a in addrs.items() if q != p},
             tick_ms=tick_ms,
             on_decided=make_handler(p),
-            wire=wire,
-            # Legacy mode reproduces the pre-PR-9 wire path: one frame
-            # per write (coalesce threshold 1 flushes every send) and no
-            # admission pipeline — the "pickle baseline" of the compare.
-            coalesce_bytes=1 if legacy else 32 * 1024,
-            pipeline=None if legacy else PipelineConfig(),
+            pipeline=PipelineConfig(),
         )
     for node in nodes.values():
         await node.start()
@@ -221,15 +215,7 @@ async def _runtime_macro_run(protocol: str, wire: str, n_entries: int,
         leader = nodes[leader_pid]
 
         start = loop.time()
-        if legacy:
-            # Pre-PR-9 shape: per-entry propose, yielding regularly so
-            # the event loop can drain sockets between proposals.
-            for i, entry in enumerate(entries):
-                leader.propose(entry)
-                if i % 32 == 31:
-                    await asyncio.sleep(0)
-        else:
-            leader.propose_batch(entries)
+        leader.propose_batch(entries)
         await asyncio.wait_for(all_decided.wait(), timeout=120.0)
         wall = loop.time() - start
     finally:
@@ -247,7 +233,7 @@ async def _runtime_macro_run(protocol: str, wire: str, n_entries: int,
     }
 
 
-def run_runtime_macro(protocol: str = "omni", wire: str = "binary",
+def run_runtime_macro(protocol: str = "omni",
                       n_entries: int = 2_000, payload_bytes: int = 16,
                       num_servers: int = 3, seed: int = 0,
                       tick_ms: float = 5.0) -> Dict[str, Any]:
@@ -258,31 +244,22 @@ def run_runtime_macro(protocol: str = "omni", wire: str = "binary",
     ``n_entries`` commands at it, and measures wall-clock from first
     proposal until *every* server has decided all of them. ``ops_per_sec``
     is therefore decided entries per second end-to-end over real sockets.
-
-    ``wire="binary"`` runs the full PR-9 stack (binary codec, frame
-    coalescing, pipelined admission); ``wire="pickle"`` reproduces the
-    legacy path (pickle frames, one write per message, per-entry
-    proposals). Both must produce byte-identical decided-log digests —
-    the wire format may change how fast entries travel, never what gets
-    decided where.
+    The decided-log digest depends only on what was proposed — the wire
+    may change how fast entries travel, never what gets decided where.
     """
     out = asyncio.run(_runtime_macro_run(
-        protocol, wire, n_entries, payload_bytes, num_servers, seed,
-        tick_ms))
+        protocol, n_entries, payload_bytes, num_servers, seed, tick_ms))
     return make_result(
-        f"runtime_{protocol}", out["wall"], n_entries, out["counters"],
-        extra={"wire": wire},
-    )
+        f"runtime_{protocol}", out["wall"], n_entries, out["counters"])
 
 
-def run_runtime_suite(budget: Dict[str, Any], seed: int = 0,
-                      wire: str = "binary") -> Dict[str, Dict[str, Any]]:
+def run_runtime_suite(budget: Dict[str, Any],
+                      seed: int = 0) -> Dict[str, Dict[str, Any]]:
     """Run the runtime macro bench for every protocol in the budget."""
     out: Dict[str, Dict[str, Any]] = {}
     for protocol in budget["runtime_protocols"]:
         out[f"runtime_{protocol}"] = run_runtime_macro(
             protocol,
-            wire=wire,
             n_entries=budget["runtime_entries"],
             payload_bytes=budget["runtime_payload_bytes"],
             seed=seed,

@@ -292,16 +292,12 @@ def bench_obs_overhead(n_batches: int, batch_entries: int,
 
 
 def bench_codec(n_frames: int, seed: int = 0) -> Dict[str, Any]:
-    """Encode/decode round trips through the runtime framing codec,
-    binary vs legacy pickle in one result.
+    """Encode/decode round trips through the runtime framing codec.
 
     Each frame is a realistic leader->follower message: an Envelope around
     an AcceptDecide carrying 16 commands. Decoding feeds the stream in 4 KiB
     chunks so the incremental reassembly path is measured, not just the
-    raw decoder. The headline ``ops_per_sec`` times the binary wire (the
-    runtime default); the pickle wall and frame size land in extra fields
-    so the formats stay comparable release over release, and both decodes
-    must reproduce the original message exactly.
+    raw decoder, and the decode must reproduce the original message exactly.
     """
     entries = tuple(Command(data=bytes(8), client_id=1, seq=i)
                     for i in range(16))
@@ -312,8 +308,8 @@ def bench_codec(n_frames: int, seed: int = 0) -> Dict[str, Any]:
                              seq=1, session=1),
     )
 
-    def drive(wire: str) -> Dict[str, Any]:
-        frame = encode_frame(1, message, wire=wire)
+    def drive() -> Dict[str, Any]:
+        frame = encode_frame(1, message)
         stream = frame * n_frames
         decoder = FrameDecoder()
         decoded = 0
@@ -324,27 +320,15 @@ def bench_codec(n_frames: int, seed: int = 0) -> Dict[str, Any]:
                 decoded += 1
                 last = payload
         assert decoded == n_frames
-        return {"frame_bytes": len(frame), "stream_bytes": len(stream),
-                "decoded": decoded, "last": last}
+        return {
+            "frames_decoded": decoded,
+            "frame_bytes": len(frame),
+            "stream_bytes": len(stream),
+            "decoded_equal": last == message,
+        }
 
-    binary, wall = timed(lambda: drive("binary"))
-    legacy, wall_pickle = timed(lambda: drive("pickle"))
-    counters = {
-        "frames_decoded": binary["decoded"],
-        "frame_bytes": binary["frame_bytes"],
-        "stream_bytes": binary["stream_bytes"],
-        "decoded_equal": (binary["last"] == message
-                          and legacy["last"] == message),
-    }
-    return make_result(
-        "codec", wall, n_frames, counters,
-        extra={
-            "wall_pickle_s": round(wall_pickle, 6),
-            "frame_bytes_pickle": legacy["frame_bytes"],
-            "binary_speedup": (round(wall_pickle / wall, 3)
-                               if wall > 0 else 0.0),
-        },
-    )
+    counters, wall = timed(drive)
+    return make_result("codec", wall, n_frames, counters)
 
 
 def run_micro_suite(budget: Dict[str, Any], seed: int = 0,

@@ -144,8 +144,8 @@ def deterministic_view(doc: Dict[str, Any]) -> Dict[str, Any]:
 #: Counters that are deterministic *within* one build (so the CI smoke job
 #: still diffs them against its committed baseline) but depend on the wire
 #: encoding rather than on protocol behaviour: frame byte counts change
-#: whenever message pickling changes shape (e.g. dict state vs tuple state
-#: for slotted dataclasses). Cross-version before/after comparisons ignore
+#: whenever the codec changes how a value is laid out (e.g. a new varint
+#: fast path or value tag). Cross-version before/after comparisons ignore
 #: them; decided-log digests and frame *counts* remain authoritative.
 INFORMATIONAL_COUNTERS = frozenset({"frame_bytes", "stream_bytes"})
 

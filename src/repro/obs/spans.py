@@ -8,8 +8,9 @@ Two halves, matching how distributed tracing systems split the problem:
   envelopes with a child context of whatever context the message being
   handled carried, so a proposal's causal chain — AcceptDecide fan-out,
   Accepted replies, the Decide — shares one trace id across servers, in
-  both the simulator and the asyncio runtime (the pickle codec ships the
-  field transparently).
+  both the simulator and the asyncio runtime (``TraceContext`` has its
+  own tag in the wire codec and travels as an ordinary ``Envelope``
+  field).
 - :class:`Span` is the *off-the-wire* half: the analysis functions here
   stitch an exported event stream (see :mod:`repro.obs.events`) into
   end-to-end spans — commit path, client round-trip, election

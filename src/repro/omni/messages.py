@@ -325,33 +325,7 @@ class Envelope:
     component: str
     payload: Any
     #: Optional causal-tracing context (see :mod:`repro.obs.spans`).
-    #: Defaults to ``None``; ``__setstate__`` below keeps frames pickled
-    #: before this field existed (no ``trace`` in their state) readable.
     trace: Optional["TraceContext"] = None
-
-    def __getstate__(self,
-                     _names=("config_id", "component", "payload", "trace")):
-        return tuple(getattr(self, n) for n in _names)
-
-    def __setstate__(self, state: Any) -> None:
-        # Accept every pickle-state shape an Envelope has ever produced:
-        # - a plain dict (pre-slots frames, possibly without ``trace``),
-        # - a ``(dict_or_None, slots_dict)`` pair (default object protocol),
-        # - a list/tuple of field values (``__getstate__`` above).
-        setattr_ = object.__setattr__  # the class is frozen
-        if isinstance(state, tuple) and len(state) == 2 \
-                and isinstance(state[1], dict):
-            merged = dict(state[0] or {})
-            merged.update(state[1])
-            state = merged
-        if isinstance(state, dict):
-            setattr_(self, "trace", None)
-            for name, value in state.items():
-                setattr_(self, name, value)
-        else:
-            for name, value in zip(
-                    ("config_id", "component", "payload", "trace"), state):
-                setattr_(self, name, value)
 
     def wire_size(self) -> int:
         base = 6 + self.payload.wire_size()

@@ -6,11 +6,10 @@ run as real processes on a real network — the litmus test that the sans-io
 core has no hidden simulator dependencies. ``examples/kv_store_cluster.py``
 boots a live three-server cluster on localhost with it.
 
-The wire path is tunable end to end (PR 9): schema-aware binary framing
-(``wire="binary"``, the default) or legacy pickle, per-peer frame
-coalescing, leader-side proposal pipelining with watermark flow control
-(:class:`PipelineConfig`), and an opt-in uvloop event loop via
-:func:`install_uvloop`.
+The wire path: one schema-aware binary frame format
+(:mod:`repro.runtime.codec`), per-peer frame coalescing, leader-side
+proposal pipelining with watermark flow control (:class:`PipelineConfig`),
+and an opt-in uvloop event loop via :func:`install_uvloop`.
 """
 
 from repro.runtime.codec import FrameDecoder, FrameEncoder, encode_frame

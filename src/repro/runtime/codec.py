@@ -1,43 +1,41 @@
 """Binary framing for the TCP transport.
 
-Frames are ``[4-byte big-endian length][body]``. Two body formats coexist
-on the same stream:
-
-- **binary** (default since PR 9): ``[0xB1][src varint][value]`` where
-  ``value`` is the compact tagged encoding below. Message dataclasses of
-  all five protocols are registered under stable one-byte type tags with
-  schema-aware encoders (field *names* never travel; only the ordered
-  field values do), so a typical ``Envelope(AcceptDecide(...))`` frame is
-  ~40% smaller than its pickle and decodes without the pickle machinery.
-- **legacy pickle** (every frame before PR 9): the pickled
-  ``(src, payload)`` tuple. Pickle protocol 2+ streams begin with the
-  ``0x80`` PROTO opcode, which can never collide with the ``0xB1`` magic,
-  so the decoder auto-detects and keeps old peers and recorded frames
-  readable.
+Frames are ``[4-byte big-endian length][body]`` and there is one body
+format: ``[0xB1][src varint][value]``, ``value`` in the tagged encoding
+below. A body that does not start with ``0xB1`` — the empty body included
+— is a corrupt frame; nothing is auto-detected. Message dataclasses of
+all five protocols are registered under stable one-byte type tags with
+schema-aware encoders (field *names* never travel; only the ordered field
+values do).
 
 Value encoding (one tag byte, then tag-specific bytes)::
 
     0x00 None                  0x05 bytes  (varint len + raw)
     0x01 True                  0x06 str    (varint len + utf-8)
     0x02 False                 0x07 tuple  (varint count + values)
-    0x03 int   (zigzag varint) 0x08 pickle (varint len + pickle bytes)
+    0x03 int   (zigzag varint) 0x08 withdrawn in PR 14: never reassign
     0x04 float (8-byte >d)     0x09 list   (varint count + values)
+    0x0A dict  (varint count + key/value pairs, insertion order)
     0x10+     registered message types (ordered field values follow)
 
-Tag ``0x08`` is the *tagged pickle fallback*: any value without a
-registered schema (chaos payloads, reconfiguration metadata, arbitrary KV
-state inside snapshots) round-trips through an embedded pickle, so the
-binary path never loses generality.
+``0x0A`` exists for the one schema-less shape real traffic carries: the
+``dict`` state of a KV snapshot (``SnapshotInstalled.state``,
+``Promise``/``AcceptSync.snapshot``, ``InstallSnapshot.state``). A value
+of any other class — a subclass of a registered type included, dispatch
+is by exact class — raises :class:`TransportError` naming the type when
+the *sender* encodes it.
 
-Security note: both formats can embed pickle and are therefore only safe
-between mutually trusted servers — which is the RSM deployment model (all
-replicas run the same trusted binary). Do not point this transport at
-untrusted peers.
+Checked on decode: framing (length bound, magic, no trailing bytes) and
+tags (``0x08`` and every other unassigned one are unknown); a violation
+is a :class:`TransportError`. Not checked: field values against the
+dataclass annotations (a payload the owner cannot use is the owner's to
+reject; ``TcpMesh`` counts ``reason="rejected"``) and peer identity —
+``src`` is what the peer claims, so only the cluster's own servers may
+reach the listen port.
 """
 
 from __future__ import annotations
 
-import pickle
 import struct
 from dataclasses import fields as dataclass_fields
 from operator import attrgetter
@@ -51,12 +49,8 @@ _F64 = struct.Struct(">d")
 #: Upper bound on a single frame; protects against corrupt length headers.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
-#: Leading body byte of a binary frame. Legacy pickle bodies start with
-#: the pickle PROTO opcode ``0x80``, so the two cannot be confused.
+#: Leading body byte of every frame.
 WIRE_BINARY = 0xB1
-
-#: The wire formats :class:`FrameEncoder` (and ``TcpMesh``) accept.
-WIRE_FORMATS = ("binary", "pickle")
 
 _T_NONE = 0x00
 _T_TRUE = 0x01
@@ -66,8 +60,8 @@ _T_FLOAT = 0x04
 _T_BYTES = 0x05
 _T_STR = 0x06
 _T_TUPLE = 0x07
-_T_PICKLE = 0x08
-_T_LIST = 0x09
+_T_LIST = 0x09  # 0x08 is withdrawn: never reassign it
+_T_DICT = 0x0A
 
 
 # --------------------------------------------------------------------------
@@ -160,14 +154,18 @@ def _write_value(out: bytearray, value: Any) -> None:
         _w_uint(out, len(value))
         for item in value:
             _write_value(out, item)
+    elif cls is dict:
+        out.append(_T_DICT)
+        _w_uint(out, len(value))
+        for key, item in value.items():
+            _write_value(out, key)
+            _write_value(out, item)
     else:
-        # Tagged pickle fallback: unregistered types (and subclasses of
-        # registered ones — exact-class dispatch keeps schemas honest)
-        # ride along inside an embedded pickle.
-        raw = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        out.append(_T_PICKLE)
-        _w_uint(out, len(raw))
-        out += raw
+        # A programming error at the sender (exact-class dispatch: a
+        # subclass of a registered type has no schema either).
+        raise TransportError(
+            f"cannot encode {cls.__module__}.{cls.__qualname__}: "
+            "no wire schema registered for this type")
 
 
 def _read_value(buf: bytes, pos: int) -> Tuple[Any, int]:
@@ -228,12 +226,14 @@ def _dec_list(buf: bytes, pos: int) -> Tuple[Any, int]:
     return items, pos
 
 
-def _dec_pickle(buf: bytes, pos: int) -> Tuple[Any, int]:
+def _dec_dict(buf: bytes, pos: int) -> Tuple[Any, int]:
     n, pos = _r_uint(buf, pos)
-    end = pos + n
-    if end > len(buf):
-        raise TransportError("corrupt frame: truncated pickle value")
-    return pickle.loads(buf[pos:end]), end
+    items = {}
+    for _ in range(n):
+        key, pos = _read_value(buf, pos)
+        value, pos = _read_value(buf, pos)
+        items[key] = value  # unhashable: a corrupt frame (_decode_body)
+    return items, pos
 
 
 _DECODERS[_T_NONE] = _dec_none
@@ -245,7 +245,7 @@ _DECODERS[_T_BYTES] = _dec_bytes
 _DECODERS[_T_STR] = _dec_str
 _DECODERS[_T_TUPLE] = _dec_tuple
 _DECODERS[_T_LIST] = _dec_list
-_DECODERS[_T_PICKLE] = _dec_pickle
+_DECODERS[_T_DICT] = _dec_dict
 
 
 # --------------------------------------------------------------------------
@@ -256,8 +256,8 @@ def register_message(tag: int, cls: type) -> None:
     """Register dataclass ``cls`` under stable wire ``tag`` (0x10-0xFF).
 
     The encoder writes the tag followed by the ordered field values (each
-    through :func:`_write_value`, so nested registered types and fallback
-    pickles compose); the decoder reads them back and calls
+    through :func:`_write_value`, so nested registered types compose);
+    the decoder reads them back and calls
     ``cls(*values)``. Tags are part of the wire contract: never renumber a
     registered tag, only append new ones.
     """
@@ -304,19 +304,8 @@ def register_message(tag: int, cls: type) -> None:
 # framing
 # --------------------------------------------------------------------------
 
-def encode_frame(src: int, payload: Any, wire: str = "binary") -> bytes:
-    """Encode one ``(src, payload)`` message into a framed byte string.
-
-    ``wire="pickle"`` produces the exact pre-PR-9 legacy frame (kept for
-    interop benchmarks and old-peer compatibility tests).
-    """
-    if wire == "pickle":
-        body = pickle.dumps((src, payload), protocol=pickle.HIGHEST_PROTOCOL)
-        if len(body) > MAX_FRAME_BYTES:
-            raise TransportError(f"frame too large: {len(body)} bytes")
-        return _LEN.pack(len(body)) + body
-    if wire != "binary":
-        raise TransportError(f"unknown wire format {wire!r}")
+def encode_frame(src: int, payload: Any) -> bytes:
+    """Encode one ``(src, payload)`` message into a framed byte string."""
     buf = bytearray()
     buf.append(WIRE_BINARY)
     _w_uint(buf, src)
@@ -329,25 +318,20 @@ def encode_frame(src: int, payload: Any, wire: str = "binary") -> bytes:
 class FrameEncoder:
     """Stateful frame encoder for one transport endpoint.
 
-    Besides picking the wire format, it keeps a one-slot *fan-out cache*:
-    protocols broadcast by wrapping the same payload object in one
-    envelope per destination, so encoding the (heavy) inner payload once
-    and splicing the cached bytes into each destination's frame removes
-    the dominant per-peer serialization cost of a broadcast.
+    It keeps a one-slot *fan-out cache*: protocols broadcast by wrapping
+    the same payload object in one envelope per destination, so encoding
+    the (heavy) inner payload once and splicing the cached bytes into each
+    destination's frame removes the dominant per-peer serialization cost
+    of a broadcast.
     """
 
-    __slots__ = ("wire", "_cache_obj", "_cache_bytes")
+    __slots__ = ("_cache_obj", "_cache_bytes")
 
-    def __init__(self, wire: str = "binary"):
-        if wire not in WIRE_FORMATS:
-            raise TransportError(f"unknown wire format {wire!r}")
-        self.wire = wire
+    def __init__(self) -> None:
         self._cache_obj: Any = None
         self._cache_bytes = b""
 
     def encode(self, src: int, payload: Any) -> bytes:
-        if self.wire == "pickle":
-            return encode_frame(src, payload, wire="pickle")
         buf = bytearray()
         buf.append(WIRE_BINARY)
         _w_uint(buf, src)
@@ -377,32 +361,25 @@ class FrameEncoder:
 
 def _decode_body(body: bytes) -> Tuple[int, Any]:
     """Decode one complete frame body into ``(src, payload)``."""
-    if body and body[0] == WIRE_BINARY:
-        try:
-            src, pos = _r_uint(body, 1)
-            value, pos = _read_value(body, pos)
-        except TransportError:
-            raise
-        except Exception as exc:
-            raise TransportError(f"corrupt binary frame: {exc!r}")
-        if pos != len(body):
-            raise TransportError(
-                f"corrupt binary frame: {len(body) - pos} trailing bytes")
-        return src, value
+    if not body or body[0] != WIRE_BINARY:
+        raise TransportError("corrupt frame: body does not start with 0xB1")
     try:
-        decoded = pickle.loads(body)
+        src, pos = _r_uint(body, 1)
+        value, pos = _read_value(body, pos)
+    except TransportError:
+        raise
     except Exception as exc:
-        raise TransportError(f"corrupt pickle frame: {exc!r}")
-    if not isinstance(decoded, tuple) or len(decoded) != 2:
-        raise TransportError("corrupt pickle frame: not a (src, payload)")
-    return decoded
+        raise TransportError(f"corrupt frame: {exc!r}")
+    if pos != len(body):
+        raise TransportError(
+            f"corrupt frame: {len(body) - pos} trailing bytes")
+    return src, value
 
 
 class FrameDecoder:
     """Incremental decoder: feed bytes, take complete messages.
 
-    Accepts binary and legacy pickle frames interleaved on one stream. A
-    corrupt frame raises :class:`TransportError` and clears the buffer, so
+    A corrupt frame raises :class:`TransportError` and clears the buffer, so
     a caller that keeps the decoder (e.g. across a reconnect) resumes
     clean instead of re-reading the poisoned prefix forever. When the
     corrupt frame follows good frames *in the same feed call*, those
@@ -490,8 +467,7 @@ def _specialize_hot_types() -> None:
     Promise / AppendEntries frame — a macro run touches them hundreds of
     thousands of times — so their codecs inline the varint loops and
     bypass the dataclass ``__init__`` (``object.__new__`` + three direct
-    ``object.__setattr__`` calls, the same trick ``fast_frozen_pickle``
-    plays for pickle). The wire bytes are identical to the generic
+    ``object.__setattr__`` calls). The wire bytes are identical to the generic
     schema encoding; only the Python path is shorter.
     """
     command_tag = next(t for t, c in REGISTERED_MESSAGES.items()

@@ -46,12 +46,7 @@ from repro.obs.exporters import metrics_snapshot
 from repro.obs.flight import FlightRecorder
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.replica import Replica
-from repro.runtime.transport import (
-    DEFAULT_COALESCE_BYTES,
-    DEFAULT_MAX_WRITE_BUFFER_BYTES,
-    PeerAddress,
-    TcpMesh,
-)
+from repro.runtime.transport import PeerAddress, TcpMesh
 
 DecidedHandler = Callable[[int, Any], None]
 
@@ -93,9 +88,6 @@ class RuntimeNode:
         ping_interval_ms: Optional[float] = None,
         flight_capacity: int = 512,
         flight_dump_path: Optional[str] = None,
-        wire: str = "binary",
-        coalesce_bytes: int = DEFAULT_COALESCE_BYTES,
-        max_write_buffer_bytes: int = DEFAULT_MAX_WRITE_BUFFER_BYTES,
         pipeline: Optional[PipelineConfig] = None,
     ):
         if pipeline is not None and on_decided is None:
@@ -122,9 +114,6 @@ class RuntimeNode:
             on_batch_end=self._drain,
             ping_interval_ms=ping_interval_ms,
             on_rtt=self._handle_rtt,
-            wire=wire,
-            coalesce_bytes=coalesce_bytes,
-            max_write_buffer_bytes=max_write_buffer_bytes,
         )
         self._mesh.set_observability(self._obs)
         setter = getattr(replica, "set_observability", None)
@@ -276,7 +265,6 @@ class RuntimeNode:
         """The replica's health view plus this node's transport facts."""
         status = self._replica.status()
         status["connected_peers"] = list(self._mesh.connected_peers)
-        status["wire"] = self._mesh.wire
         status["link_rtt_ms"] = {
             str(peer): round(rtt, 3)
             for peer, rtt in sorted(self._mesh.link_rtt_ms.items())

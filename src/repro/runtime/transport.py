@@ -9,11 +9,11 @@ peer of a healed partition retry in lockstep, re-colliding on each wave —
 and a re-established *outbound* session triggers the session-drop
 callback so protocols can run their PrepareReq handling (section 4.1.3).
 
-Wire path (PR 9): frames are encoded with the schema-aware binary codec
-by default (``wire="pickle"`` restores the legacy format; inbound always
-auto-detects both). Outbound frames are *coalesced* per peer: ``send``
-stages bytes and a single ``call_soon``-scheduled flush writes every
-staged frame for a peer in one ``writer.write`` — with TCP_NODELAY (the
+Wire path: frames are encoded and decoded by :mod:`repro.runtime.codec`,
+the only module that knows the format. Outbound frames are *coalesced*
+per peer: ``send`` stages bytes and a single ``call_soon``-scheduled
+flush writes every staged frame for a peer in one ``writer.write`` —
+with TCP_NODELAY (the
 asyncio default) per-message writes are per-packet and per-reader-wakeup,
 so batching them is the dominant wall-clock win. Staged bytes above
 ``coalesce_bytes`` flush immediately; ``RuntimeNode`` also calls
@@ -21,7 +21,10 @@ so batching them is the dominant wall-clock win. Staged bytes above
 asyncio write buffer plus staged bytes exceed ``max_write_buffer_bytes``
 the message is dropped and counted under
 ``repro_messages_dropped_total{reason="backpressure"}`` — the semantics
-of a partitioned link, which every protocol already tolerates.
+of a partitioned link, which every protocol already tolerates. Inbound,
+a connection whose bytes do not frame (``reason="corrupt_frame"``) or
+whose decoded payload makes the owner's handler raise
+(``reason="rejected"``) is counted and closed; the node keeps running.
 """
 
 from __future__ import annotations
@@ -110,14 +113,11 @@ class TcpMesh(Instrumented):
         rng: Optional[random.Random] = None,
         ping_interval_ms: Optional[float] = None,
         on_rtt: Optional[Callable[[int, float], None]] = None,
-        wire: str = "binary",
         coalesce_bytes: int = DEFAULT_COALESCE_BYTES,
         max_write_buffer_bytes: int = DEFAULT_MAX_WRITE_BUFFER_BYTES,
     ):
         if listen.pid != pid:
             raise TransportError("listen address pid mismatch")
-        if wire not in _codec.WIRE_FORMATS:
-            raise TransportError(f"unknown wire format {wire!r}")
         self._pid = pid
         self._listen = listen
         self._peers = dict(peers)
@@ -136,8 +136,7 @@ class TcpMesh(Instrumented):
             None if ping_interval_ms is None else ping_interval_ms / 1000.0
         )
         self._on_rtt = on_rtt
-        self._wire = wire
-        self._encoder = FrameEncoder(wire=wire)
+        self._encoder = FrameEncoder()
         self._coalesce_bytes = coalesce_bytes
         self._max_write_buffer = max_write_buffer_bytes
         #: Per-peer staging buffers (bytes) and staged-frame counts; one
@@ -285,10 +284,6 @@ class TcpMesh(Instrumented):
     def connected_peers(self) -> Tuple[int, ...]:
         return tuple(sorted(self._writers))
 
-    @property
-    def wire(self) -> str:
-        return self._wire
-
     def get_write_buffer_size(self, dst: Optional[int] = None) -> int:
         """Bytes queued toward ``dst`` (or all peers): asyncio write
         buffer plus our staging buffer. ``RuntimeNode``'s pipelining
@@ -330,34 +325,36 @@ class TcpMesh(Instrumented):
                 data = await reader.read(64 * 1024)
                 if not data:
                     break
+                # ``drop``: why this connection must close, if it must. A
+                # corrupt frame leaves the stream unframeable; good frames
+                # decoded ahead of it in the same read are delivered first.
                 try:
                     messages = decoder.feed(data)
+                    drop = "corrupt_frame" if decoder.poisoned else None
                 except TransportError:
-                    # A corrupt or oversized frame poisons the whole
-                    # stream (framing offsets are gone): count it and
-                    # close this inbound connection cleanly instead of
-                    # letting the error escape as an unhandled task
-                    # exception. The peer's dial loop will reconnect.
-                    self._obs.counter("repro_messages_dropped_total",
-                                      src=self._pid,
-                                      reason="corrupt_frame").inc()
-                    break
+                    messages, drop = [], "corrupt_frame"
                 for src, payload in messages:
                     if isinstance(payload, TransportPing):
                         self._answer_ping(src, payload)
                     elif isinstance(payload, TransportPong):
                         self._record_rtt(src, payload)
                     else:
-                        self._on_message(src, payload)
+                        try:
+                            self._on_message(src, payload)
+                        except Exception:
+                            # Well-formed bytes the owner cannot use (a
+                            # stranger on the listen port): the codec
+                            # checks framing and tags, not meaning.
+                            drop = "rejected"
+                            break
                 if messages and self._on_batch_end is not None:
                     self._on_batch_end()
-                if decoder.poisoned:
-                    # Good frames decoded ahead of the corruption in the
-                    # same read were delivered above; the stream past
-                    # this point is unframeable.
+                if drop is not None:
+                    # Count it and close this one connection cleanly, not
+                    # as an unhandled task exception; a real peer's dial
+                    # loop reconnects.
                     self._obs.counter("repro_messages_dropped_total",
-                                      src=self._pid,
-                                      reason="corrupt_frame").inc()
+                                      src=self._pid, reason=drop).inc()
                     break
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
@@ -381,8 +378,7 @@ class TcpMesh(Instrumented):
             return
         try:
             peer_writer.write(
-                encode_frame(self._pid, TransportPong(ping.sent_ms),
-                             wire=self._wire))
+                encode_frame(self._pid, TransportPong(ping.sent_ms)))
         except (ConnectionError, RuntimeError):
             self._writers.pop(src, None)
 
@@ -406,8 +402,7 @@ class TcpMesh(Instrumented):
                 for pid, writer in list(self._writers.items()):
                     try:
                         writer.write(
-                            encode_frame(self._pid, TransportPing(now_ms),
-                                         wire=self._wire))
+                            encode_frame(self._pid, TransportPing(now_ms)))
                     except (ConnectionError, RuntimeError):
                         self._writers.pop(pid, None)
         except asyncio.CancelledError:

@@ -41,18 +41,15 @@ SECTIONS = ("micro", "macro", "runtime")
 
 
 def _run_document(budget_name: str, seed: int, trace: bool = False,
-                  wire: str = "binary",
                   sections: Tuple[str, ...] = SECTIONS) -> Dict[str, Any]:
     budget = BUDGETS[budget_name]
-    meta = bench_meta(budget_name, seed)
-    meta["wire"] = wire
-    doc: Dict[str, Any] = {"meta": meta}
+    doc: Dict[str, Any] = {"meta": bench_meta(budget_name, seed)}
     if "micro" in sections:
         doc["micro"] = run_micro_suite(budget, seed=seed)
     if "macro" in sections:
         doc["macro"] = run_macro_suite(budget, seed=seed, trace=trace)
     if "runtime" in sections:
-        doc["runtime"] = run_runtime_suite(budget, seed=seed, wire=wire)
+        doc["runtime"] = run_runtime_suite(budget, seed=seed)
     return doc
 
 
@@ -64,8 +61,6 @@ def _print_summary(doc: Dict[str, Any]) -> None:
                     f"({result['wall_s']:.3f}s)")
             if "decided_per_virtual_s" in result:
                 line += f"  decided/s(virtual)={result['decided_per_virtual_s']:,.0f}"
-            if "wire" in result:
-                line += f"  wire={result['wire']}"
             print(line)
 
 
@@ -81,7 +76,7 @@ def cmd_run(args: argparse.Namespace) -> int:
               f"(choose from {', '.join(SECTIONS)})")
         return 2
     doc = _run_document(args.budget, args.seed, trace=args.trace,
-                        wire=args.wire, sections=sections)
+                        sections=sections)
     _print_summary(doc)
     if args.out:
         save_json(args.out, doc)
@@ -188,12 +183,6 @@ def main(argv=None) -> int:
     run_p.add_argument("--trace", action="store_true",
                        help="enable causal tracing for the macro runs "
                             "(adds a per-phase commit breakdown; slower)")
-    run_p.add_argument("--wire", choices=("binary", "pickle"),
-                       default="binary",
-                       help="wire stack for the runtime benches: 'binary' "
-                            "is the full PR-9 path (binary codec, "
-                            "coalescing, pipelining), 'pickle' the legacy "
-                            "pre-PR-9 path")
     run_p.add_argument("--sections", default=None,
                        help="comma-separated subset of "
                             f"{{{','.join(SECTIONS)}}} to run")

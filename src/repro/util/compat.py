@@ -17,7 +17,7 @@ from typing import Any, Dict
 #:     class Prepare: ...
 #:
 #: On 3.9 this is empty and the classes fall back to ``__dict__`` — slower
-#: but semantically identical, so behaviour (and pickled wire frames) do
+#: but semantically identical, so behaviour (and WAL record bodies) do
 #: not depend on the interpreter version.
 SLOTTED: Dict[str, Any] = (
     {"slots": True} if sys.version_info >= (3, 10) else {}
@@ -29,9 +29,11 @@ def fast_frozen_pickle(cls):
 
     The ``__getstate__`` / ``__setstate__`` pair dataclasses generates for
     ``frozen=True, slots=True`` classes calls :func:`dataclasses.fields` on
-    every pickle round-trip, which is measurable when messages stream
-    through the wire codec. This decorator installs equivalents with the
-    field names precomputed at class-decoration time. Apply *above* the
+    every pickle round-trip. Only ``FileStorage`` pickles these classes
+    (WAL record bodies; the TCP wire has its own codec), where that is
+    measurable on every appended entry. This decorator installs
+    equivalents with the field names precomputed at class-decoration
+    time. Apply *above* the
     ``@dataclass`` decorator; works identically for non-slotted classes on
     3.9 (where ``object.__setattr__`` writes into the instance dict).
     """

@@ -1,13 +1,10 @@
 """Codec round-trips for envelopes with and without trace contexts.
 
-The runtime ships :class:`Envelope` over pickle frames; these tests pin
+The runtime ships :class:`Envelope` in binary frames; these tests pin
 down that a :class:`TraceContext` survives the trip, that its absence
 costs nothing on the wire, and — the backward-compat guarantee — that
-artifacts from before the tracing layer (old pickles, old JSON-lines
-exports) still load.
+JSON-lines exports from before the tracing layer still load.
 """
-
-import pickle
 
 from repro.obs.events import ClientReplyDecided, event_from_dict, event_to_dict
 from repro.obs.events import EventRecord
@@ -58,30 +55,6 @@ class TestEnvelopeRoundTrip:
 
 
 class TestBackwardCompat:
-    def test_pre_tracing_pickle_reads_none_trace(self):
-        # An envelope pickled before the ``trace`` field existed carries no
-        # value for it in its state; ``__setstate__`` must default it to
-        # None instead of raising.
-        env = Envelope(config_id=1, component="sp",
-                       payload=HeartbeatRequest(round=4))
-        state = {"config_id": 1, "component": "sp", "payload": env.payload}
-        old = Envelope.__new__(Envelope)
-        old.__setstate__(state)  # the dict state an old pickle carries
-        assert old.trace is None
-        restored = pickle.loads(pickle.dumps(old))
-        assert restored.trace is None
-        assert restored.wire_size() == env.wire_size()
-
-    def test_legacy_two_part_state_loads(self):
-        # The default object protocol can also produce (dict, slots_dict)
-        # two-part states; both halves must be honoured.
-        env = Envelope.__new__(Envelope)
-        env.__setstate__(({"config_id": 3}, {"component": "sp",
-                          "payload": HeartbeatRequest(round=1)}))
-        assert env.config_id == 3
-        assert env.component == "sp"
-        assert env.trace is None
-
     def test_event_dict_without_trace_id_loads(self):
         # A pre-tracing JSON-lines export: ClientReplyDecided rows have no
         # trace_id key; the dataclass default fills it in.

@@ -1,7 +1,7 @@
-"""Binary wire codec: per-type round-trips, fuzzed corruption, legacy
-pickle-frame compatibility, and the fan-out encode cache."""
+"""Binary wire codec: per-type round-trips, golden frames that pin the
+wire contract byte for byte, fuzzed corruption, and the fan-out encode
+cache."""
 
-import pickle
 import random
 import struct
 
@@ -11,6 +11,7 @@ from repro.baselines import multipaxos as mp
 from repro.baselines import raft
 from repro.baselines import vr
 from repro.errors import TransportError
+from repro.kv.store import KVCommand, encode_command, kv_snapshotter
 from repro.obs.spans import TraceContext
 from repro.omni import messages as om
 from repro.omni.ballot import Ballot, QCBallot
@@ -24,10 +25,12 @@ B2 = Ballot(n=4, priority=0, pid=5)
 CMDS = tuple(Command(data=bytes([i]) * 8, client_id=i % 3, seq=i + 190)
              for i in range(5))
 
-#: One representative instance per registered message type. The
+#: One representative instance per registered message type (plus one
+#: bare dict, the only schema-less container on the wire). The
 #: exhaustiveness test below fails if a registered type has no sample
 #: here, so new messages must add one.
 SAMPLES = [
+    {"data": {"k": "v"}, "sessions": {7: 3}},  # kv_snapshotter's shape
     B1,
     QCBallot(ballot=B1, quorum_connected=True),
     Command(data=b"payload", client_id=7, seq=123456),
@@ -91,8 +94,70 @@ SAMPLES = [
 ]
 
 
-def roundtrip(payload, wire="binary", src=1):
-    frames = FrameDecoder().feed(encode_frame(src, payload, wire=wire))
+#: The wire contract, byte for byte: ``encode_frame(1, sample).hex()`` of
+#: the first ``SAMPLES`` entry of each registered tag, and of the dict
+#: under its value tag ``0x0A``. A change here is a wire break: append
+#: tags, never edit a pin.
+GOLDEN_FRAMES = {
+    0x0A: "00000022b1010a020604646174610a0106016b060176060873657373696f6e730a01030e0306",
+    0x10: "00000009b10110030603020304",
+    0x11: "0000000bb101111003060302030401",
+    0x12: "00000012b1011205077061796c6f6164030e0380890f",
+    0x13: "00000013b10113030407040302030403060308050200ff",
+    0x14: "0000001bb101140a0206026b760a01060161030206076170706c6965640312",
+    0x15: "00000016b10115060563312d3432060430303033060430303032",
+    0x16: "0000000bb101160302060273702000",
+    0x17: "00000005b101170322",
+    0x18: "0000000db1011803221003080300030a02",
+    0x19: "00000015b10119100306030203041003080300030a03140310",
+    0x1A: "00000068b1011a100306030203041003080300030a07051205080000000000000000030003fc021205080101010101010101030203fe021205080202020202020202030403800312050803030303030303030300038203120508040404040404040403020384030314031000",
+    0x1B: "00000063b1011b1003060302030407051205080000000000000000030003fc021205080101010101010101030203fe0212050802020202020202020304038003120508030303030303030303000382031205080404040404040404030203840303080304000306",
+    0x1C: "00000063b1011c1003060302030407051205080000000000000000030003fc021205080101010101010101030203fe0212050802020202020202020304038003120508030303030303030303000382031205080404040404040404030203840303f001030e0302",
+    0x1D: "0000000eb1011d1003060302030403160312",
+    0x1E: "0000000db1011e10030603020304038001",
+    0x1F: "0000000cb1011f100306030203040318",
+    0x20: "00000003b10120",
+    0x21: "00000055b1012107051205080000000000000000030003fc021205080101010101010101030203fe02120508020202020202020203040380031205080303030303030303030003820312050804040404040404040302038403",
+    0x22: "00000017b101220306070303040306030803c80107020304030600",
+    0x23: "00000005b101230306",
+    0x24: "00000009b10124030603000364",
+    0x25: "0000005ab101250306030007051205080000000000000000030003fc021205080101010101010101030203fe0212050802020202020202020304038003120508030303030303030303000382031205080404040404040404030203840301",
+    0x2E: "0000000cb1012e0440c81cd6c8b43958",
+    0x2F: "0000000cb1012f0440c81cd6c8b43958",
+    0x30: "0000000cb10130030a03040312030801",
+    0x31: "00000007b10131030a0201",
+    0x32: "00000070b10132030a030203100308070534030a1205080000000000000000030003fc0234030a1205080101010101010101030203fe0234030a1205080202020202020202030403800334030a1205080303030303030303030003820334030a12050804040404040404040302038403030e0316",
+    0x33: "0000000ab10133030a01031a0316",
+    0x34: "00000015b10134030a1205080000000000000000030003fc02",
+    0x35: "00000005b10135030c",
+    0x36: "0000000bb101360703030203040306",
+    0x37: "00000017b10137030c030403c601030a0a0106026b760a0003c601",
+    0x40: "0000000bb101400702030403020308",
+    0x41: "0000002db101410702030403020702030403020701070303080702030203021205080000000000000000030003fc020306",
+    0x42: "0000005fb10142070203040302030807051205080000000000000000030003fc021205080101010101010101030203fe021205080202020202020202030403800312050803030303030303030300038203120508040404040404040403020384030306",
+    0x43: "00000011b101430702030403020702030403020310",
+    0x44: "00000003b10144",
+    0x45: "00000003b10145",
+    0x50: "00000005b101500306",
+    0x51: "00000005b101510306",
+    0x52: "00000005b101520306",
+    0x53: "00000005b101530306",
+}
+
+#: ``Envelope(AcceptDecide)`` as ``FrameEncoder`` splices it from its
+#: fan-out cache (see ``TestFanOutCache``).
+GOLDEN_FANOUT_FRAME = "0000006ab101160300060273701c1003060302030407051205080000000000000000030003fc021205080101010101010101030203fe0212050802020202020202020304038003120508030303030303030303000382031205080404040404040404030203840303060302030200"
+
+#: Bodies the decoder used to hand to the unpickler, hand-assembled from
+#: protocol-4 opcodes: a whole-body ``(1, None)`` tuple (every such body
+#: starts with the ``0x80`` PROTO opcode), and ``None`` embedded behind
+#: the withdrawn value tag ``0x08``.
+PICKLE_BODY = b"\x80\x04K\x01N\x86\x94."
+TAG_08_BODY = bytes([codec.WIRE_BINARY, 1, 0x08, 4]) + b"\x80\x04N."
+
+
+def roundtrip(payload, src=1):
+    frames = FrameDecoder().feed(encode_frame(src, payload))
     assert len(frames) == 1
     got_src, got = frames[0]
     assert got_src == src
@@ -103,14 +168,9 @@ class TestRegisteredRoundTrips:
     @pytest.mark.parametrize("payload", SAMPLES,
                              ids=lambda s: type(s).__name__)
     def test_binary_roundtrip(self, payload):
-        got = roundtrip(payload, wire="binary")
+        got = roundtrip(payload)
         assert got == payload
         assert type(got) is type(payload)
-
-    @pytest.mark.parametrize("payload", SAMPLES,
-                             ids=lambda s: type(s).__name__)
-    def test_pickle_roundtrip(self, payload):
-        assert roundtrip(payload, wire="pickle") == payload
 
     def test_every_protocol_message_is_registered(self):
         registered = set(codec.REGISTERED_MESSAGES.values())
@@ -126,62 +186,54 @@ class TestRegisteredRoundTrips:
                    for cls in codec.REGISTERED_MESSAGES.values()
                    if cls not in sampled]
         assert not missing, f"no round-trip sample for: {missing}"
-
-    def test_tags_are_stable(self):
-        # Tags are wire format: they may be appended, never renumbered.
-        assert codec.REGISTERED_MESSAGES[0x10] is Ballot
-        assert codec.REGISTERED_MESSAGES[0x12] is Command
-        assert codec.REGISTERED_MESSAGES[0x16] is om.Envelope
-        assert codec.REGISTERED_MESSAGES[0x1C] is om.AcceptDecide
-        assert codec.REGISTERED_MESSAGES[0x2E] is TransportPing
-        assert codec.REGISTERED_MESSAGES[0x32] is raft.AppendEntries
-        assert codec.REGISTERED_MESSAGES[0x42] is mp.P2a
-        assert codec.REGISTERED_MESSAGES[0x52] is vr.StartView
+        assert set(GOLDEN_FRAMES) == {0x0A, *codec.REGISTERED_MESSAGES}, \
+            "every registered tag needs a golden-frame pin, and only those"
 
     def test_duplicate_tag_rejected(self):
         with pytest.raises(ValueError):
             codec.register_message(0x10, TransportPing)
 
-    def test_binary_is_smaller_on_the_hot_message(self):
-        env = om.Envelope(config_id=0, component=om.COMPONENT_SP,
-                          payload=om.AcceptDecide(
-                              n=B1, entries=CMDS, decided_idx=3,
-                              seq=1, session=1))
-        binary = encode_frame(1, env, wire="binary")
-        legacy = encode_frame(1, env, wire="pickle")
-        assert len(binary) < len(legacy)
+    @pytest.mark.parametrize("tag", sorted(GOLDEN_FRAMES),
+                             ids=lambda t: f"0x{t:02X}")
+    def test_frame_bytes_are_pinned(self, tag):
+        # Also what keeps tags stable: a renumbered or swapped tag finds
+        # no pin, or another type's.
+        cls = codec.REGISTERED_MESSAGES.get(tag, dict)
+        sample = next(s for s in SAMPLES if type(s) is cls)
+        assert encode_frame(1, sample).hex() == GOLDEN_FRAMES[tag]
+        assert FrameDecoder().feed(bytes.fromhex(GOLDEN_FRAMES[tag])) == \
+            [(1, sample)]
 
 
-class TestPickleFallback:
-    def test_unregistered_payloads_fall_back_to_pickle(self):
-        for payload in ({"hello": "world"}, [1, (2, 3)], {4, 5},
-                        frozenset({6}), 3 + 4j, b"raw", "text", None,
-                        True, -1.5):
-            assert roundtrip(payload, wire="binary") == payload
+class TestSchemaLessValues:
+    def test_dicts_round_trip_in_insertion_order(self):
+        for payload in ({"z": 1, "a": 2, "m": 3}, {},
+                        {1: {2: [3, (4, None)]}, b"k": -1.5}):
+            got = roundtrip(om.ProposalForward(entries=(payload,)))
+            assert list(got.entries[0].items()) == list(payload.items())
 
-    def test_unregistered_field_values_inside_registered_types(self):
-        # Chaos/reconfig payloads carry arbitrary state in Any fields.
-        payload = SnapshotInstalled(state={"set": frozenset({1, 2})})
-        assert roundtrip(payload) == payload
+    def test_kv_snapshot_state_rides_in_accept_sync(self):
+        # The one schema-less shape real traffic carries.
+        entries = [encode_command(KVCommand("put", f"k{i}", f"v{i}"),
+                                  client_id=1 + i % 2, seq=i)
+                   for i in range(6)]
+        state = kv_snapshotter(entries, None)
+        assert state["data"] and state["sessions"]
+        msg = om.AcceptSync(n=B1, suffix=(), sync_idx=6, decided_idx=6,
+                            snapshot=(state, 6), session=2)
+        assert roundtrip(msg) == msg
 
-    def test_pre_pr9_pickle_frame_decodes(self):
-        # A frame produced by the old runtime: 4-byte length + raw
-        # pickle.dumps((src, payload)). Today's decoder must still read it.
-        payload = om.Envelope(config_id=0, component=om.COMPONENT_SP,
-                              payload=om.PrepareReq(), trace=None)
-        body = pickle.dumps((4, payload), protocol=pickle.HIGHEST_PROTOCOL)
-        frame = struct.pack(">I", len(body)) + body
-        assert FrameDecoder().feed(frame) == [(4, payload)]
-
-    def test_mixed_wire_stream(self):
-        # One TCP stream may interleave both formats (e.g. across a
-        # rolling upgrade); the decoder dispatches per frame.
-        stream = (encode_frame(1, SAMPLES[0], wire="binary")
-                  + encode_frame(1, SAMPLES[0], wire="pickle")
-                  + encode_frame(1, {"fallback": True}, wire="binary"))
-        got = FrameDecoder().feed(stream)
-        assert [p for _, p in got] == [SAMPLES[0], SAMPLES[0],
-                                       {"fallback": True}]
+    @pytest.mark.parametrize("payload", [
+        {1, 2}, frozenset({6}), 3 + 4j,
+        type("TaggedCommand", (Command,), {})(data=b"", client_id=1, seq=1),
+    ], ids=lambda p: type(p).__name__)
+    def test_unregistered_class_fails_at_the_sender(self, payload):
+        # Exact-class dispatch: a subclass of a registered type has no
+        # schema either.
+        for wrapped in (payload, SnapshotInstalled(state={"s": payload})):
+            with pytest.raises(TransportError,
+                               match=type(payload).__name__):
+                encode_frame(1, wrapped)
 
 
 class TestFuzzedFrames:
@@ -198,9 +250,7 @@ class TestFuzzedFrames:
         rng = random.Random(42)
         payloads = [rng.choice(SAMPLES) for _ in range(60)]
         stream = b"".join(
-            encode_frame(i % 5, p,
-                         wire=rng.choice(("binary", "pickle")))
-            for i, p in enumerate(payloads))
+            encode_frame(i % 5, p) for i, p in enumerate(payloads))
         decoder = FrameDecoder()
         got = []
         pos = 0
@@ -211,39 +261,53 @@ class TestFuzzedFrames:
         assert [p for _, p in got] == payloads
         assert [s for s, _ in got] == [i % 5 for i in range(60)]
 
-    def test_corrupt_binary_body_raises_transport_error(self):
-        frame = bytearray(encode_frame(1, om.AcceptDecide(
-            n=B1, entries=CMDS, decided_idx=3, seq=1, session=1)))
-        rng = random.Random(7)
-        hits = 0
-        for _ in range(200):
-            mutated = bytearray(frame)
-            pos = rng.randrange(4, len(mutated))
-            mutated[pos] ^= 1 << rng.randrange(8)
-            try:
-                out = FrameDecoder().feed(bytes(mutated))
-            except TransportError:
-                hits += 1
+    def test_fuzz_gate_only_transport_error_escapes(self):
+        """Whatever bytes arrive, ``feed`` returns or raises
+        ``TransportError`` — nothing else, and nothing is executed."""
+        def framed(body):
+            return struct.pack(">I", len(body)) + body
+
+        rng = random.Random(14)
+        good = [encode_frame(1, s) for s in SAMPLES]
+        corpus = [framed(b""), framed(PICKLE_BODY), framed(TAG_08_BODY)]
+        while len(corpus) < 2_000:
+            kind = len(corpus) % 3
+            if kind == 0:
+                corpus.append(framed(rng.randbytes(rng.randint(0, 64))))
+            elif kind == 1:
+                corpus.append(framed(bytes([codec.WIRE_BINARY, 1])
+                                     + rng.randbytes(rng.randint(0, 64))))
             else:
-                # Some flips decode to a *different* valid value; none may
-                # crash with anything but TransportError.
+                frame = bytearray(rng.choice(good))
+                for _ in range(rng.randint(1, 3)):
+                    frame[rng.randrange(len(frame))] = rng.randrange(256)
+                corpus.append(bytes(frame))
+        rejected = 0
+        for data in corpus:
+            try:
+                out = FrameDecoder().feed(data)
+            except TransportError:
+                rejected += 1
+            else:
+                # Some flips decode to a *different* valid value.
                 assert len(out) <= 1
-        assert hits > 0
+        assert rejected > 1_000
 
-    def test_unknown_value_tag_is_transport_error(self):
-        # Body layout: WIRE_BINARY magic, varint src (1), then a value
-        # tag no encoder ever emits.
-        body = bytes([codec.WIRE_BINARY, 0x01, 0xFF])
-        frame = struct.pack(">I", len(body)) + body
-        with pytest.raises(TransportError):
-            FrameDecoder().feed(frame)
-
-    def test_trailing_garbage_is_transport_error(self):
-        good = encode_frame(1, om.PrepareReq())
-        body = good[4:] + b"\x00"
-        frame = struct.pack(">I", len(body)) + body
-        with pytest.raises(TransportError):
-            FrameDecoder().feed(frame)
+    @pytest.mark.parametrize("body, why", [
+        (b"", "0xB1"),
+        (PICKLE_BODY, "0xB1"),
+        (TAG_08_BODY, "unknown value tag 0x08"),
+        # Magic, src 1, then a value tag no encoder ever emits.
+        (bytes([codec.WIRE_BINARY, 1, 0xFF]), "unknown value tag 0xff"),
+        (encode_frame(1, om.PrepareReq())[4:] + b"\x00", "trailing"),
+        # A dict whose decoded key is a list.
+        (bytes([codec.WIRE_BINARY, 1, 0x0A, 1, 0x09, 0, 0x00]),
+         "unhashable"),
+    ], ids=["empty", "0x80-leading", "tag-0x08", "tag-0xff", "trailing",
+            "unhashable-key"])
+    def test_body_is_a_corrupt_frame(self, body, why):
+        with pytest.raises(TransportError, match=why):
+            FrameDecoder().feed(struct.pack(">I", len(body)) + body)
 
     def test_decoder_buffer_survives_a_corrupt_frame(self):
         decoder = FrameDecoder()
@@ -283,6 +347,7 @@ class TestFanOutCache:
             for _ in range(3)
         ]
         assert frames[0] == frames[1] == frames[2]
+        assert frames[2].hex() == GOLDEN_FANOUT_FRAME
         # Cached bytes decode exactly like the uncached first encode.
         for frame in frames:
             (_, got), = FrameDecoder().feed(frame)

@@ -192,37 +192,6 @@ class TestCoalescing:
         inbox = asyncio.run(scenario())
         assert [m.seq for _, m in inbox] == list(range(200))
 
-    def test_mixed_wire_cluster_interoperates(self):
-        # A binary node and a legacy pickle node on one mesh: inbound
-        # auto-detects per frame, so both directions deliver.
-        async def scenario():
-            addrs = make_addrs([1, 2])
-            inbox_a, inbox_b = [], []
-            a = TcpMesh(1, addrs[1], {2: addrs[2]},
-                        on_message=lambda s, m: inbox_a.append(m),
-                        wire="binary")
-            b = TcpMesh(2, addrs[2], {1: addrs[1]},
-                        on_message=lambda s, m: inbox_b.append(m),
-                        wire="pickle")
-            await a.start()
-            await b.start()
-            try:
-                await wait_for(lambda: 2 in a.connected_peers
-                               and 1 in b.connected_peers)
-                a.send(2, Command(data=b"bin", client_id=1, seq=1))
-                b.send(1, Command(data=b"pkl", client_id=2, seq=2))
-                a.flush()
-                b.flush()
-                await wait_for(lambda: inbox_a and inbox_b)
-            finally:
-                await a.close()
-                await b.close()
-            return inbox_a, inbox_b
-
-        inbox_a, inbox_b = asyncio.run(scenario())
-        assert inbox_a[0].data == b"pkl"
-        assert inbox_b[0].data == b"bin"
-
 
 class TestCorruptFrames:
     def test_corrupt_frame_closes_connection_with_counter(self):
@@ -274,6 +243,53 @@ class TestCorruptFrames:
             await b.close()
             # Give any pending task-exception callbacks a chance to fire.
             await asyncio.sleep(0.1)
+            return failures
+
+        assert asyncio.run(scenario()) == []
+
+
+    def test_rejected_payload_closes_one_connection_not_the_node(self):
+        """A stranger's well-formed frame the replica cannot use (a bare
+        int where OmniPaxosServer expects an Envelope) is handled like a
+        corrupt one: counted, that connection closed, no task exception —
+        and the node goes on to form a cluster and commit."""
+        async def scenario():
+            failures = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, ctx: failures.append(ctx))
+            cc = ClusterConfig(0, (1, 2, 3))
+            addrs = make_addrs(list(cc.servers))
+            reg = MetricsRegistry()
+            decided = {p: [] for p in cc.servers}
+            nodes = {p: RuntimeNode(
+                OmniPaxosServer(OmniPaxosConfig(
+                    pid=p, cluster=cc, hb_period_ms=40.0, initial_leader=1)),
+                addrs[p], {q: a for q, a in addrs.items() if q != p},
+                tick_ms=5.0, obs=reg if p == 1 else None,
+                on_decided=lambda i, e, p=p: decided[p].append(e.seq))
+                for p in cc.servers}
+            await nodes[1].start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", addrs[1].port)
+                writer.write(encode_frame(9, 5))
+                await writer.drain()
+                assert await asyncio.wait_for(reader.read(), 5.0) == b""
+                writer.close()
+                assert reg.counter_value("repro_messages_dropped_total",
+                                         src=1, reason="rejected") == 1
+                await nodes[2].start()
+                await nodes[3].start()
+                await wait_for(lambda: all(
+                    n.leader_pid == 1 and len(n.connected_peers) == 2
+                    for n in nodes.values()))
+                nodes[1].propose(Command(data=b"r", client_id=1, seq=0))
+                await wait_for(lambda: all(d == [0]
+                                           for d in decided.values()))
+            finally:
+                for node in nodes.values():
+                    await node.stop()
+            await asyncio.sleep(0.1)  # let task-exception callbacks fire
             return failures
 
         assert asyncio.run(scenario()) == []
@@ -434,7 +450,6 @@ class TestPipelining:
                 status = nodes[1].status()
                 assert status["pipeline"]["pending"] == 0
                 assert status["pipeline"]["choked"] is False
-                assert status["wire"] == "binary"
             finally:
                 for node in nodes.values():
                     await node.stop()
