@@ -168,6 +168,15 @@ def _write_value(out: bytearray, value: Any) -> None:
             "no wire schema registered for this type")
 
 
+def check_encodable(*values: Any) -> None:
+    """Raise :class:`TransportError` naming the type unless every value
+    has a wire encoding. For callers that accept values long before the
+    transport encodes them (``RuntimeNode.propose``)."""
+    out = bytearray()
+    for value in values:
+        _write_value(out, value)
+
+
 def _read_value(buf: bytes, pos: int) -> Tuple[Any, int]:
     tag = buf[pos]
     dec = _DECODERS[tag]

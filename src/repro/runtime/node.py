@@ -37,16 +37,20 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import logging
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.errors import ConfigError, StorageError
+from repro.errors import ConfigError, StorageError, TransportError
 from repro.obs.exporters import metrics_snapshot
 from repro.obs.flight import FlightRecorder
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.replica import Replica
+from repro.runtime.codec import check_encodable
 from repro.runtime.transport import PeerAddress, TcpMesh
+
+logger = logging.getLogger(__name__)
 
 DecidedHandler = Callable[[int, Any], None]
 
@@ -203,7 +207,10 @@ class RuntimeNode:
     def propose(self, entry: Any) -> None:
         """Propose a client entry at this server. With pipelining
         enabled the entry queues in the node and is admitted to the
-        replica by the watermark-gated pump."""
+        replica by the watermark-gated pump. An entry the wire cannot
+        carry raises :class:`TransportError` here, not after the leader
+        has appended an entry it can never replicate."""
+        check_encodable(entry)
         if self._pipeline is not None:
             self._pending.append(entry)
             self._pump_proposals()
@@ -211,6 +218,7 @@ class RuntimeNode:
         self._step(self._replica.propose, entry)
 
     def propose_batch(self, entries: List[Any]) -> None:
+        check_encodable(*entries)
         if self._pipeline is not None:
             self._pending.extend(entries)
             self._pump_proposals()
@@ -407,7 +415,18 @@ class RuntimeNode:
         try:
             outbox = self._replica.take_outbox()
             for dst, msg in outbox:
-                self._mesh.send(dst, msg)
+                try:
+                    self._mesh.send(dst, msg)
+                except TransportError:
+                    # Not an entry (``propose`` checks those): e.g. the
+                    # state of a custom snapshotter. Lose this message
+                    # like a partitioned link would, not the whole drain.
+                    self._obs.counter("repro_messages_dropped_total",
+                                      src=self.pid,
+                                      reason="unencodable").inc()
+                    logger.exception(
+                        "node %d: cannot encode %s for node %d", self.pid,
+                        type(getattr(msg, "payload", msg)).__name__, dst)
             # No handler: leave decided entries queued in the replica for
             # an external consumer (e.g. a ReplicatedKVStore pumping it).
             if self._on_decided is not None:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import logging
 import random
 from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
@@ -39,6 +40,8 @@ from repro.errors import TransportError
 from repro.obs.registry import NULL_REGISTRY, Instrumented
 from repro.runtime import codec as _codec
 from repro.runtime.codec import FrameDecoder, FrameEncoder, encode_frame
+
+logger = logging.getLogger(__name__)
 
 MessageHandler = Callable[[int, Any], None]
 SessionHandler = Callable[[int], None]
@@ -344,7 +347,12 @@ class TcpMesh(Instrumented):
                         except Exception:
                             # Well-formed bytes the owner cannot use (a
                             # stranger on the listen port): the codec
-                            # checks framing and tags, not meaning.
+                            # checks framing and tags, not meaning. Logged
+                            # with its traceback: from a real peer this is
+                            # a replica bug.
+                            logger.exception(
+                                "node %d: handler rejected %s from %d",
+                                self._pid, type(payload).__name__, src)
                             drop = "rejected"
                             break
                 if messages and self._on_batch_end is not None:

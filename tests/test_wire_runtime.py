@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, TransportError
 from repro.obs.registry import MetricsRegistry
 from repro.omni.entry import Command
 from repro.omni.messages import COMPONENT_SP, Envelope, PrepareReq
@@ -49,6 +49,20 @@ async def wait_for(predicate, timeout_s=15.0, interval_s=0.02):
             return value
         await asyncio.sleep(interval_s)
     raise AssertionError("condition not reached over TCP in time")
+
+
+def omni_nodes(decided, obs):
+    """Three unstarted OmniPaxos nodes, 1 the initial leader and the one
+    reporting to ``obs``; ``decided[pid]`` collects decided seqs."""
+    cc = ClusterConfig(0, (1, 2, 3))
+    addrs = make_addrs(list(cc.servers))
+    return addrs, {p: RuntimeNode(
+        OmniPaxosServer(OmniPaxosConfig(
+            pid=p, cluster=cc, hb_period_ms=40.0, initial_leader=1)),
+        addrs[p], {q: a for q, a in addrs.items() if q != p},
+        tick_ms=5.0, obs=obs if p == 1 else None,
+        on_decided=lambda i, e, p=p: decided[p].append(e.seq))
+        for p in (1, 2, 3)}
 
 
 class _StubTransport:
@@ -248,26 +262,20 @@ class TestCorruptFrames:
         assert asyncio.run(scenario()) == []
 
 
-    def test_rejected_payload_closes_one_connection_not_the_node(self):
+    def test_rejected_payload_closes_one_connection_not_the_node(
+            self, caplog):
         """A stranger's well-formed frame the replica cannot use (a bare
         int where OmniPaxosServer expects an Envelope) is handled like a
-        corrupt one: counted, that connection closed, no task exception —
-        and the node goes on to form a cluster and commit."""
+        corrupt one: counted, that connection closed, no task exception
+        (the handler's traceback is logged) — and the node goes on to
+        form a cluster and commit."""
         async def scenario():
             failures = []
             asyncio.get_running_loop().set_exception_handler(
                 lambda loop, ctx: failures.append(ctx))
-            cc = ClusterConfig(0, (1, 2, 3))
-            addrs = make_addrs(list(cc.servers))
             reg = MetricsRegistry()
-            decided = {p: [] for p in cc.servers}
-            nodes = {p: RuntimeNode(
-                OmniPaxosServer(OmniPaxosConfig(
-                    pid=p, cluster=cc, hb_period_ms=40.0, initial_leader=1)),
-                addrs[p], {q: a for q, a in addrs.items() if q != p},
-                tick_ms=5.0, obs=reg if p == 1 else None,
-                on_decided=lambda i, e, p=p: decided[p].append(e.seq))
-                for p in cc.servers}
+            decided = {1: [], 2: [], 3: []}
+            addrs, nodes = omni_nodes(decided, reg)
             await nodes[1].start()
             try:
                 reader, writer = await asyncio.open_connection(
@@ -286,6 +294,48 @@ class TestCorruptFrames:
                 nodes[1].propose(Command(data=b"r", client_id=1, seq=0))
                 await wait_for(lambda: all(d == [0]
                                            for d in decided.values()))
+            finally:
+                for node in nodes.values():
+                    await node.stop()
+            await asyncio.sleep(0.1)  # let task-exception callbacks fire
+            return failures
+
+        assert asyncio.run(scenario()) == []
+        assert "expects Envelope" in caplog.text
+
+
+class TestUnencodable:
+    def test_entry_fails_in_propose_and_a_message_loses_only_itself(self):
+        """An entry the wire has no schema for raises to the proposer
+        before the replica sees it; any other unencodable message (stood
+        in for by a bare set at the head of every outbox) is counted and
+        the rest of the drain still goes out."""
+        async def scenario():
+            failures = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, ctx: failures.append(ctx))
+            reg = MetricsRegistry()
+            decided = {1: [], 2: [], 3: []}
+            _, nodes = omni_nodes(decided, reg)
+            take_outbox = nodes[1].replica.take_outbox
+            nodes[1].replica.take_outbox = \
+                lambda: [(2, {1, 2}), *take_outbox()]
+            for node in nodes.values():
+                await node.start()
+            try:
+                await wait_for(lambda: all(
+                    n.leader_pid == 1 and len(n.connected_peers) == 2
+                    for n in nodes.values()))
+                good = Command(data=b"g", client_id=1, seq=0)
+                with pytest.raises(TransportError, match="set"):
+                    nodes[1].propose({1, 2})
+                with pytest.raises(TransportError, match="complex"):
+                    nodes[2].propose_batch([good, 3 + 4j])
+                nodes[1].propose(good)
+                await wait_for(lambda: all(d == [0]
+                                           for d in decided.values()))
+                assert reg.counter_value("repro_messages_dropped_total",
+                                         src=1, reason="unencodable") >= 1
             finally:
                 for node in nodes.values():
                     await node.stop()
