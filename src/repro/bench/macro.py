@@ -1,133 +1,56 @@
-"""End-to-end simulator throughput benchmarks, one per protocol.
+"""Macro benches of the behaviour gate: whole clusters, sim and live TCP.
 
-Each macro bench builds a full experiment (cluster + closed-loop client),
-runs it for a fixed stretch of *virtual* time, and reports:
-
-- wall-clock events/sec — how fast the simulator chews through the run,
-- decided entries (and decided/sec of virtual time) — protocol progress,
-- a decided-log digest over every server's decided stream — the
-  behavioural fingerprint that must survive any optimization, and
-- optionally a per-phase commit breakdown assembled from tracing spans.
-
+Each sim bench builds a full experiment (cluster + closed-loop client),
+runs it for a fixed stretch of *virtual* time, and returns event, message
+and decided counts plus a decided-log digest over every server's decided
+stream — the behavioural fingerprint that must survive any optimization.
 The virtual-time workload is fully determined by the seed, so two runs
-with the same seed must agree on every counter and digest; only the wall
-clock may differ.
+with the same seed must agree on every counter and digest. The runtime
+benches do the same over real sockets, where only the decided log (not
+the event interleaving) is deterministic.
 """
 
 from __future__ import annotations
 
 import asyncio
 import socket
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-from repro.bench.runner import LogDigest, make_result, timed
-from repro.obs.exporters import MemorySink
-from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import assemble_spans
-from repro.sim.harness import ExperimentConfig, build_experiment
+from repro.bench.runner import LogDigest
+from repro.sim.harness import PROTOCOLS, ExperimentConfig, build_experiment
 
 
 def run_macro(protocol: str, duration_ms: float, cp: int,
-              seed: int = 0, num_servers: int = 5,
-              trace: bool = False) -> Dict[str, Any]:
-    """One end-to-end run of ``protocol`` under the closed-loop workload.
-
-    With ``trace=True`` the run carries full causal tracing and the result
-    gains a ``phases`` block (commit-span phase durations); tracing adds
-    overhead, so traced numbers are not comparable to untraced ones.
-    """
+              seed: int = 0, num_servers: int = 5) -> Dict[str, Any]:
+    """One end-to-end run of ``protocol`` under the closed-loop workload."""
     cfg = ExperimentConfig(protocol=protocol, num_servers=num_servers,
                            election_timeout_ms=100.0, one_way_ms=0.1,
                            seed=seed, initial_leader=1)
-    registry: Optional[MetricsRegistry] = None
-    sink: Optional[MemorySink] = None
-    if trace:
-        registry = MetricsRegistry()
-        registry.enable_tracing()
-        sink = MemorySink()
-        registry.add_sink(sink)
-
-    def run() -> Dict[str, Any]:
-        exp = build_experiment(cfg, obs=registry)
-        digest = LogDigest()
-        exp.cluster.on_decided(
-            lambda pid, idx, entry, now: digest.record(pid, idx, entry))
-        client = exp.make_client(concurrent_proposals=cp)
-        warmup_ms = 5 * cfg.election_timeout_ms
-        exp.cluster.run_for(warmup_ms)
-        start_events = exp.queue.processed
-        start_decided = client.tracker.count
-        exp.cluster.run_for(duration_ms)
-        decided = client.tracker.count - start_decided
-        events = exp.queue.processed - start_events
-        out: Dict[str, Any] = {
-            "events": events,
-            "decided": decided,
-            "counters": {
-                "events_processed": exp.queue.processed,
-                "messages_sent": exp.network.messages_sent,
-                "decided_total": client.tracker.count,
-                "proposals_sent": client.proposals_sent,
-                "reproposals": client.reproposals,
-                "decided_log_digest": digest.hexdigest(),
-            },
-            "decided_per_virtual_s": round(
-                decided / (duration_ms / 1000.0), 1),
-        }
-        return out
-
-    out, wall = timed(run)
-    result = make_result(
-        f"sim_{protocol}", wall, out["events"], out["counters"],
-        extra={
-            "decided_entries": out["decided"],
-            "decided_per_virtual_s": out["decided_per_virtual_s"],
-            "decided_per_wall_s": round(out["decided"] / wall, 1)
-            if wall > 0 else 0.0,
-        },
-    )
-    if trace and sink is not None:
-        result["phases"] = _phase_breakdown(sink)
-    return result
+    exp = build_experiment(cfg)
+    digest = LogDigest()
+    exp.cluster.on_decided(
+        lambda pid, idx, entry, now: digest.record(pid, idx, entry))
+    client = exp.make_client(concurrent_proposals=cp)
+    exp.cluster.run_for(5 * cfg.election_timeout_ms + duration_ms)
+    return {
+        "events_processed": exp.queue.processed,
+        "messages_sent": exp.network.messages_sent,
+        "decided_total": client.tracker.count,
+        "proposals_sent": client.proposals_sent,
+        "reproposals": client.reproposals,
+        "decided_log_digest": digest.hexdigest(),
+    }
 
 
-def _phase_breakdown(sink: MemorySink) -> Dict[str, Any]:
-    """Commit-span phase durations from the run's tracing events."""
-    spans = assemble_spans(sink.records)
-    phases: Dict[str, Dict[str, float]] = {}
-    totals: Dict[str, list] = {}
-    for span in spans:
-        if span.kind != "commit":
-            continue
-        for phase, duration in span.phase_durations():
-            totals.setdefault(phase, []).append(duration)
-    for phase, values in sorted(totals.items()):
-        values.sort()
-        phases[phase] = {
-            "count": len(values),
-            "mean_ms": round(sum(values) / len(values), 3),
-            "p95_ms": round(values[int(0.95 * (len(values) - 1))], 3),
-        }
-    return phases
-
-
-def run_macro_suite(budget: Dict[str, Any], seed: int = 0,
-                    trace: bool = False) -> Dict[str, Dict[str, Any]]:
-    """Run the macro bench for every protocol in the budget."""
-    out: Dict[str, Dict[str, Any]] = {}
-    for protocol in budget["macro_protocols"]:
-        out[f"sim_{protocol}"] = run_macro(
-            protocol,
-            duration_ms=budget["macro_duration_ms"],
-            cp=budget["macro_cp"],
-            seed=seed,
-            trace=trace,
-        )
-    return out
+def run_macro_suite(seed: int = 0) -> Dict[str, Dict[str, Any]]:
+    """Every sim protocol at the gate's one size; ``{name: counters}``."""
+    return {f"sim_{protocol}": run_macro(protocol, duration_ms=1_000.0,
+                                         cp=32, seed=seed)
+            for protocol in PROTOCOLS}
 
 
 # ----------------------------------------------------------------------
-# Runtime (real TCP) macro benches — PR 9.
+# Runtime (real TCP) macro benches.
 
 
 def _free_ports(count: int) -> List[int]:
@@ -166,7 +89,7 @@ async def _runtime_macro_run(protocol: str, n_entries: int,
                              payload_bytes: int, num_servers: int,
                              seed: int, tick_ms: float) -> Dict[str, Any]:
     from repro.omni.entry import Command
-    from repro.runtime import PeerAddress, PipelineConfig, RuntimeNode
+    from repro.runtime import PeerAddress, RuntimeNode
 
     servers = tuple(range(1, num_servers + 1))
     ports = _free_ports(num_servers)
@@ -191,7 +114,6 @@ async def _runtime_macro_run(protocol: str, n_entries: int,
             {q: a for q, a in addrs.items() if q != p},
             tick_ms=tick_ms,
             on_decided=make_handler(p),
-            pipeline=PipelineConfig(),
         )
     for node in nodes.values():
         await node.start()
@@ -210,26 +132,19 @@ async def _runtime_macro_run(protocol: str, n_entries: int,
                 f"runtime bench: no stable leader for {protocol} in 30s")
 
         payload = b"x" * payload_bytes
-        entries = [Command(data=payload, client_id=1, seq=i)
-                   for i in range(n_entries)]
-        leader = nodes[leader_pid]
-
-        start = loop.time()
-        leader.propose_batch(entries)
+        nodes[leader_pid].propose_batch(
+            [Command(data=payload, client_id=1, seq=i)
+             for i in range(n_entries)])
         await asyncio.wait_for(all_decided.wait(), timeout=120.0)
-        wall = loop.time() - start
     finally:
         for node in nodes.values():
             await node.stop()
 
     return {
-        "wall": wall,
-        "counters": {
-            "decided_per_server": min(decided_counts.values()),
-            "num_servers": num_servers,
-            "entries_proposed": n_entries,
-            "decided_log_digest": digest.hexdigest(),
-        },
+        "decided_per_server": min(decided_counts.values()),
+        "num_servers": num_servers,
+        "entries_proposed": n_entries,
+        "decided_log_digest": digest.hexdigest(),
     }
 
 
@@ -237,31 +152,21 @@ def run_runtime_macro(protocol: str = "omni",
                       n_entries: int = 2_000, payload_bytes: int = 16,
                       num_servers: int = 3, seed: int = 0,
                       tick_ms: float = 5.0) -> Dict[str, Any]:
-    """Decided throughput of a live TCP cluster on localhost.
+    """What a live TCP cluster on localhost decides.
 
     Boots ``num_servers`` :class:`~repro.runtime.node.RuntimeNode`
     processes-in-one-loop, waits for the seeded leader, proposes
-    ``n_entries`` commands at it, and measures wall-clock from first
-    proposal until *every* server has decided all of them. ``ops_per_sec``
-    is therefore decided entries per second end-to-end over real sockets.
-    The decided-log digest depends only on what was proposed — the wire
-    may change how fast entries travel, never what gets decided where.
+    ``n_entries`` commands at it in one batch, and waits until *every*
+    server has decided all of them. The decided-log digest depends only
+    on what was proposed — the wire may change how fast entries travel,
+    never what gets decided where.
     """
-    out = asyncio.run(_runtime_macro_run(
+    return asyncio.run(_runtime_macro_run(
         protocol, n_entries, payload_bytes, num_servers, seed, tick_ms))
-    return make_result(
-        f"runtime_{protocol}", out["wall"], n_entries, out["counters"])
 
 
-def run_runtime_suite(budget: Dict[str, Any],
-                      seed: int = 0) -> Dict[str, Dict[str, Any]]:
-    """Run the runtime macro bench for every protocol in the budget."""
-    out: Dict[str, Dict[str, Any]] = {}
-    for protocol in budget["runtime_protocols"]:
-        out[f"runtime_{protocol}"] = run_runtime_macro(
-            protocol,
-            n_entries=budget["runtime_entries"],
-            payload_bytes=budget["runtime_payload_bytes"],
-            seed=seed,
-        )
-    return out
+def run_runtime_suite(seed: int = 0) -> Dict[str, Dict[str, Any]]:
+    """Both runtime protocols at the gate's one size; ``{name: counters}``."""
+    return {f"runtime_{protocol}": run_runtime_macro(protocol, n_entries=400,
+                                                     seed=seed)
+            for protocol in ("omni", "raft")}

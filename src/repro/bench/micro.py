@@ -1,16 +1,16 @@
-"""Microbenchmarks for the simulator's hot paths.
+"""Micro benches of the behaviour gate, one per hot-path layer.
 
-Each bench isolates one layer — the event queue, the network send path,
-the Sequence Paxos commit loop, the runtime codec — and reports wall-clock
-ops/sec next to the deterministic counters that pin its behaviour.
+Each bench drives one layer — the event queue, the network send path,
+the Sequence Paxos commit loop, the runtime codec, the observability
+stack — and returns the deterministic counters that pin its behaviour.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List
+from typing import Any, Dict
 
-from repro.bench.runner import LogDigest, make_result, timed
+from repro.bench.runner import LogDigest
 from repro.omni.ballot import Ballot
 from repro.omni.entry import Command
 from repro.omni.messages import (
@@ -34,35 +34,29 @@ def bench_event_queue(n_events: int, seed: int = 0) -> Dict[str, Any]:
     """
     rng = random.Random(seed)
     times = [rng.random() * 1_000.0 for _ in range(n_events)]
+    queue = EventQueue()
+    fired = 0
 
-    def run() -> int:
-        queue = EventQueue()
-        fired = 0
+    def bump() -> None:
+        nonlocal fired
+        fired += 1
 
-        def bump() -> None:
-            nonlocal fired
-            fired += 1
+    for at in times:
+        queue.schedule(at, bump)
+    queue.run_until(1_000.0)
 
-        for at in times:
-            queue.schedule(at, bump)
-        queue.run_until(1_000.0)
+    remaining = n_events
 
-        remaining = n_events
+    def chain() -> None:
+        nonlocal remaining
+        remaining -= 1
+        if remaining > 0:
+            queue.schedule_in(0.1, chain)
 
-        def chain() -> None:
-            nonlocal remaining
-            remaining -= 1
-            if remaining > 0:
-                queue.schedule_in(0.1, chain)
-
-        queue.schedule_in(0.1, chain)
-        queue.run_until(2_000.0 + 0.1 * n_events)
-        assert fired == n_events and remaining == 0
-        return queue.processed
-
-    processed, wall = timed(run)
-    return make_result("event_queue", wall, 2 * n_events,
-                       {"events_processed": processed})
+    queue.schedule_in(0.1, chain)
+    queue.run_until(2_000.0 + 0.1 * n_events)
+    assert fired == n_events and remaining == 0
+    return {"events_processed": queue.processed}
 
 
 def bench_network_send(n_sends: int, num_servers: int = 5,
@@ -76,39 +70,75 @@ def bench_network_send(n_sends: int, num_servers: int = 5,
     pairs = [(a, b)
              for a in range(1, num_servers + 1)
              for b in range(1, num_servers + 1) if a != b]
+    queue = EventQueue()
+    network = SimNetwork(queue, NetworkParams(one_way_ms=0.1))
+    # One asymmetric override so the per-link lookup path is exercised.
+    network.set_latency(1, 2, 0.3)
+    delivered = 0
 
-    def run() -> Dict[str, int]:
-        queue = EventQueue()
-        network = SimNetwork(queue, NetworkParams(one_way_ms=0.1))
-        # One asymmetric override so the per-link lookup path is exercised.
-        network.set_latency(1, 2, 0.3)
-        delivered = 0
+    def on_deliver(src: int, dst: int, msg: Any) -> None:
+        nonlocal delivered
+        delivered += 1
 
-        def on_deliver(src: int, dst: int, msg: Any) -> None:
-            nonlocal delivered
-            delivered += 1
-
-        network.on_deliver(on_deliver)
-        msg = HeartbeatRequest(round=1)
-        n_pairs = len(pairs)
-        sent = 0
-        while sent < n_sends:
-            slab = min(2_000, n_sends - sent)
-            for i in range(slab):
-                src, dst = pairs[(sent + i) % n_pairs]
-                network.send(src, dst, msg)
-            sent += slab
-            queue.run_for(10.0)
+    network.on_deliver(on_deliver)
+    msg = HeartbeatRequest(round=1)
+    n_pairs = len(pairs)
+    sent = 0
+    while sent < n_sends:
+        slab = min(2_000, n_sends - sent)
+        for i in range(slab):
+            src, dst = pairs[(sent + i) % n_pairs]
+            network.send(src, dst, msg)
+        sent += slab
         queue.run_for(10.0)
-        assert delivered == n_sends
-        return {
-            "messages_sent": network.messages_sent,
-            "messages_delivered": delivered,
-            "events_processed": queue.processed,
-        }
+    queue.run_for(10.0)
+    assert delivered == n_sends
+    return {
+        "messages_sent": network.messages_sent,
+        "messages_delivered": delivered,
+        "events_processed": queue.processed,
+    }
 
-    counters, wall = timed(run)
-    return make_result("network_send", wall, n_sends, counters)
+
+def _drive_commit_loop(n_batches: int, batch_entries: int, seed: int,
+                       obs: Any = None, series: bool = False) -> Dict[str, Any]:
+    """One 3-server omni run: a batch at the leader per virtual ms."""
+    cfg = ExperimentConfig(protocol="omni", num_servers=3,
+                           election_timeout_ms=100.0, one_way_ms=0.1,
+                           seed=seed, initial_leader=1)
+    exp = build_experiment(cfg, obs=obs)
+    collector = exp.attach_series(window_ms=100.0) if series else None
+    digest = LogDigest()
+    decided_at_leader = 0
+
+    def observer(pid: int, idx: int, entry: Any, now: float) -> None:
+        nonlocal decided_at_leader
+        digest.record(pid, idx, entry)
+        if pid == 1:
+            decided_at_leader += 1
+
+    exp.cluster.on_decided(observer)
+    exp.cluster.run_for(5 * cfg.election_timeout_ms)
+    leaders = exp.cluster.leaders()
+    assert leaders == [1], f"expected pre-seeded leader, got {leaders}"
+    payload = bytes(8)
+    seq = 0
+    for _ in range(n_batches):
+        batch = []
+        for _ in range(batch_entries):
+            batch.append(Command(data=payload, client_id=1, seq=seq))
+            seq += 1
+        exp.cluster.propose_batch(1, batch)
+        exp.cluster.run_for(1.0)
+    exp.cluster.run_for(50.0)
+    return {
+        "decided_entries": decided_at_leader,
+        "decided_log_digest": digest.hexdigest(),
+        "events_processed": exp.queue.processed,
+        "messages_sent": exp.network.messages_sent,
+        "series_windows": (len(collector.finish(exp.queue.now))
+                           if collector is not None else 0),
+    }
 
 
 def bench_commit_loop(n_batches: int, batch_entries: int,
@@ -117,178 +147,55 @@ def bench_commit_loop(n_batches: int, batch_entries: int,
 
     Drives a 3-server omni cluster end to end: each iteration proposes one
     batch at the leader and advances virtual time until the next, so
-    replication, quorum accounting, and decide fan-out dominate the
-    profile. ``ops`` counts decided entries.
+    replication, quorum accounting, and decide fan-out all run.
     """
-    cfg = ExperimentConfig(protocol="omni", num_servers=3,
-                           election_timeout_ms=100.0, one_way_ms=0.1,
-                           seed=seed, initial_leader=1)
-
-    def run() -> Dict[str, Any]:
-        exp = build_experiment(cfg)
-        digest = LogDigest()
-        decided_at_leader = 0
-
-        def observer(pid: int, idx: int, entry: Any, now: float) -> None:
-            nonlocal decided_at_leader
-            digest.record(pid, idx, entry)
-            if pid == 1:
-                decided_at_leader += 1
-
-        exp.cluster.on_decided(observer)
-        exp.cluster.run_for(5 * cfg.election_timeout_ms)
-        leaders = exp.cluster.leaders()
-        assert leaders == [1], f"expected pre-seeded leader, got {leaders}"
-        payload = bytes(8)
-        seq = 0
-        for _ in range(n_batches):
-            batch = []
-            for _ in range(batch_entries):
-                batch.append(Command(data=payload, client_id=1, seq=seq))
-                seq += 1
-            exp.cluster.propose_batch(1, batch)
-            exp.cluster.run_for(1.0)
-        exp.cluster.run_for(50.0)
-        return {
-            "decided": decided_at_leader,
-            "counters": {
-                "decided_entries": decided_at_leader,
-                "events_processed": exp.queue.processed,
-                "messages_sent": exp.network.messages_sent,
-                "decided_log_digest": digest.hexdigest(),
-            },
-        }
-
-    out, wall = timed(run)
-    return make_result("commit_loop", wall, out["decided"], out["counters"])
+    run = _drive_commit_loop(n_batches, batch_entries, seed)
+    return {key: run[key] for key in (
+        "decided_entries", "events_processed", "messages_sent",
+        "decided_log_digest")}
 
 
 def bench_obs_overhead(n_batches: int, batch_entries: int,
                        seed: int = 0) -> Dict[str, Any]:
-    """The full observability stack's cost: the commit loop off vs on.
+    """Observability is passive: the commit loop decides the same off or on.
 
-    Runs the same 3-server commit workload three times — with the null
-    registry (the disabled path every production-off run takes), with an
-    enabled registry carrying the health observatory (connectivity
-    monitor + flight recorder sinks, the pre-series stack), and with
-    that plus the windowed series engine and queue-depth profiler
-    (``Experiment.attach_series``). The decided-log digests of all three
-    runs MUST be identical: observability is passive, so turning it on may
-    cost wall-clock but can never change what gets decided. ``ops`` counts
-    the enabled run's decided entries; the wall times land in the
-    (non-deterministic) ``wall_off_s`` / ``wall_on_s`` fields so future
-    PRs can watch the enabled-path overhead trend, and
-    ``series_overhead_ratio`` isolates what the series engine itself adds
-    on top of the already-enabled health stack.
+    Runs the commit-loop workload three times — with the null registry
+    (the disabled path every production-off run takes), with an enabled
+    registry carrying the health observatory (connectivity monitor +
+    flight recorder sinks), and with that plus the windowed series engine
+    and queue-depth profiler (``Experiment.attach_series``). The
+    decided-log digests of all three runs MUST be identical
+    (``digests_identical``): turning observability on may cost time but
+    can never change what gets decided.
     """
     from repro.obs.flight import FlightRecorder
     from repro.obs.health import HealthMonitor
     from repro.obs.registry import MetricsRegistry
-    # Pre-warm the series engine's module import: attach_series defers it,
-    # and paying it inside the timed enabled run would bill a one-time
-    # interpreter cost to the steady-state overhead ratio.
-    import repro.obs.series  # noqa: F401
 
-    cfg = ExperimentConfig(protocol="omni", num_servers=3,
-                           election_timeout_ms=100.0, one_way_ms=0.1,
-                           seed=seed, initial_leader=1)
-
-    def drive(obs, series: bool) -> Dict[str, Any]:
-        exp = build_experiment(cfg, obs=obs)
-        collector = exp.attach_series(window_ms=100.0) if series else None
-        digest = LogDigest()
-        decided_at_leader = 0
-
-        def observer(pid: int, idx: int, entry: Any, now: float) -> None:
-            nonlocal decided_at_leader
-            digest.record(pid, idx, entry)
-            if pid == 1:
-                decided_at_leader += 1
-
-        exp.cluster.on_decided(observer)
-        exp.cluster.run_for(5 * cfg.election_timeout_ms)
-        payload = bytes(8)
-        seq = 0
-        for _ in range(n_batches):
-            batch = []
-            for _ in range(batch_entries):
-                batch.append(Command(data=payload, client_id=1, seq=seq))
-                seq += 1
-            exp.cluster.propose_batch(1, batch)
-            exp.cluster.run_for(1.0)
-        exp.cluster.run_for(50.0)
-        return {
-            "decided": decided_at_leader,
-            "digest": digest.hexdigest(),
-            "events_processed": exp.queue.processed,
-            # Post-run analysis (collector.finish) happens outside the
-            # timed region: the overhead ratio measures live perturbation,
-            # not report generation.
-            "collector": collector,
-            "end_ms": exp.queue.now,
-        }
-
-    def make_registry() -> MetricsRegistry:
+    def drive_enabled(series: bool):
         registry = MetricsRegistry()
-        registry.add_sink(HealthMonitor())
-        registry.add_sink(FlightRecorder())
-        return registry
-
-    def best_of(fn, reps: int = 3):
-        # The per-config runs are deterministic, so any rep's result will
-        # do; min-of-reps is the standard defence against scheduler noise
-        # at smoke-budget run lengths (tens of milliseconds).
-        result, best = timed(fn)
-        for _ in range(reps - 1):
-            result, wall = timed(fn)
-            best = min(best, wall)
-        return result, best
-
-    off, wall_off = best_of(lambda: drive(None, series=False))
-    health, wall_health = best_of(lambda: drive(make_registry(), series=False))
-
-    sinks: Dict[str, Any] = {}
-
-    def drive_full() -> Dict[str, Any]:
-        # Fresh registry per rep: attach_series adds a collector sink, so
-        # reusing one registry would stack collectors across reps.
-        registry = MetricsRegistry()
-        sinks["monitor"] = monitor = HealthMonitor()
-        sinks["recorder"] = recorder = FlightRecorder()
+        monitor, recorder = HealthMonitor(), FlightRecorder()
         registry.add_sink(monitor)
         registry.add_sink(recorder)
-        return drive(registry, series=True)
+        run = _drive_commit_loop(n_batches, batch_entries, seed,
+                                 obs=registry, series=series)
+        return run, monitor, recorder
 
-    on, wall_on = best_of(drive_full)
-    monitor = sinks["monitor"]
-    recorder = sinks["recorder"]
-    windows = on["collector"].finish(on["end_ms"])
-
-    counters = {
-        "decided_entries": on["decided"],
-        "decided_log_digest": on["digest"],
-        "digests_identical": (off["digest"] == on["digest"]
-                              and health["digest"] == on["digest"]),
+    off = _drive_commit_loop(n_batches, batch_entries, seed)
+    health, _, _ = drive_enabled(series=False)
+    on, monitor, recorder = drive_enabled(series=True)
+    return {
+        "decided_entries": on["decided_entries"],
+        "decided_log_digest": on["decided_log_digest"],
+        "digests_identical": (off["decided_log_digest"]
+                              == health["decided_log_digest"]
+                              == on["decided_log_digest"]),
         "events_processed_off": off["events_processed"],
         "events_processed_on": on["events_processed"],
         "health_reporters": len(monitor.matrix.views),
         "flight_retained": len(recorder),
-        "series_windows": len(windows),
+        "series_windows": on["series_windows"],
     }
-    ops = n_batches * batch_entries
-    return make_result(
-        "obs_overhead", wall_on, ops, counters,
-        extra={
-            "wall_off_s": round(wall_off, 6),
-            "wall_on_s": round(wall_on, 6),
-            "enabled_overhead_ratio": (
-                round(wall_on / wall_off, 3) if wall_off > 0 else 0.0
-            ),
-            "series_overhead_ratio": (
-                round(wall_on / wall_health, 3) if wall_health > 0 else 0.0
-            ),
-        },
-    )
 
 
 def bench_codec(n_frames: int, seed: int = 0) -> Dict[str, Any]:
@@ -296,8 +203,8 @@ def bench_codec(n_frames: int, seed: int = 0) -> Dict[str, Any]:
 
     Each frame is a realistic leader->follower message: an Envelope around
     an AcceptDecide carrying 16 commands. Decoding feeds the stream in 4 KiB
-    chunks so the incremental reassembly path is measured, not just the
-    raw decoder, and the decode must reproduce the original message exactly.
+    chunks so the incremental reassembly path runs, not just the raw
+    decoder, and the decode must reproduce the original message exactly.
     """
     entries = tuple(Command(data=bytes(8), client_id=1, seq=i)
                     for i in range(16))
@@ -307,47 +214,31 @@ def bench_codec(n_frames: int, seed: int = 0) -> Dict[str, Any]:
                              entries=entries, decided_idx=0,
                              seq=1, session=1),
     )
-
-    def drive() -> Dict[str, Any]:
-        frame = encode_frame(1, message)
-        stream = frame * n_frames
-        decoder = FrameDecoder()
-        decoded = 0
-        last = None
-        view = memoryview(stream)
-        for off in range(0, len(stream), 4096):
-            for _src, payload in decoder.feed(bytes(view[off:off + 4096])):
-                decoded += 1
-                last = payload
-        assert decoded == n_frames
-        return {
-            "frames_decoded": decoded,
-            "frame_bytes": len(frame),
-            "stream_bytes": len(stream),
-            "decoded_equal": last == message,
-        }
-
-    counters, wall = timed(drive)
-    return make_result("codec", wall, n_frames, counters)
-
-
-def run_micro_suite(budget: Dict[str, Any], seed: int = 0,
-                    only: List[str] = None) -> Dict[str, Dict[str, Any]]:
-    """Run every microbench under ``budget``; return ``{name: result}``."""
-    benches = {
-        "event_queue": lambda: bench_event_queue(
-            budget["event_queue_events"], seed),
-        "network_send": lambda: bench_network_send(
-            budget["network_sends"], seed=seed),
-        "commit_loop": lambda: bench_commit_loop(
-            budget["commit_batches"], budget["commit_batch_entries"], seed),
-        "codec": lambda: bench_codec(budget["codec_frames"], seed),
-        "obs_overhead": lambda: bench_obs_overhead(
-            budget["commit_batches"], budget["commit_batch_entries"], seed),
+    frame = encode_frame(1, message)
+    stream = frame * n_frames
+    decoder = FrameDecoder()
+    decoded = 0
+    last = None
+    view = memoryview(stream)
+    for off in range(0, len(stream), 4096):
+        for _src, payload in decoder.feed(bytes(view[off:off + 4096])):
+            decoded += 1
+            last = payload
+    assert decoded == n_frames
+    return {
+        "frames_decoded": decoded,
+        "frame_bytes": len(frame),
+        "stream_bytes": len(stream),
+        "decoded_equal": last == message,
     }
-    out: Dict[str, Dict[str, Any]] = {}
-    for name, bench in benches.items():
-        if only and name not in only:
-            continue
-        out[name] = bench()
-    return out
+
+
+def run_micro_suite(seed: int = 0) -> Dict[str, Dict[str, Any]]:
+    """Every microbench at the gate's one size; ``{name: counters}``."""
+    return {
+        "event_queue": bench_event_queue(20_000, seed),
+        "network_send": bench_network_send(10_000, seed=seed),
+        "commit_loop": bench_commit_loop(40, 32, seed),
+        "codec": bench_codec(2_000, seed),
+        "obs_overhead": bench_obs_overhead(40, 32, seed),
+    }

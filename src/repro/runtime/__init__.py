@@ -7,33 +7,14 @@ core has no hidden simulator dependencies. ``examples/kv_store_cluster.py``
 boots a live three-server cluster on localhost with it.
 
 The wire path: one schema-aware binary frame format
-(:mod:`repro.runtime.codec`), per-peer frame coalescing, leader-side
-proposal pipelining with watermark flow control (:class:`PipelineConfig`),
-and an opt-in uvloop event loop via :func:`install_uvloop`.
+(:mod:`repro.runtime.codec`) and per-peer frame coalescing with a
+write-buffer bound (:class:`TcpMesh`). There is one configuration: the
+stock asyncio event loop, proposals handed straight to the replica.
 """
 
 from repro.runtime.codec import FrameDecoder, FrameEncoder, encode_frame
-from repro.runtime.node import PipelineConfig, RuntimeNode
+from repro.runtime.node import RuntimeNode
 from repro.runtime.transport import PeerAddress, TcpMesh
-
-
-def install_uvloop() -> bool:
-    """Install uvloop's event-loop policy if the package is available.
-
-    Returns ``True`` when uvloop is now the policy, ``False`` when the
-    import failed (pure-CPython deployment — the asyncio default stays).
-    Opt-in and never required: nothing in :mod:`repro.runtime` depends on
-    which loop implementation runs it.
-    """
-    try:
-        import uvloop  # type: ignore[import-not-found]
-    except ImportError:
-        return False
-    import asyncio
-
-    asyncio.set_event_loop_policy(uvloop.EventLoopPolicy())
-    return True
-
 
 __all__ = [
     "encode_frame",
@@ -41,7 +22,5 @@ __all__ = [
     "FrameEncoder",
     "TcpMesh",
     "PeerAddress",
-    "PipelineConfig",
     "RuntimeNode",
-    "install_uvloop",
 ]

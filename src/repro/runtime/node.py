@@ -38,9 +38,7 @@ import asyncio
 import contextlib
 import json
 import logging
-from collections import deque
-from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError, StorageError, TransportError
 from repro.obs.exporters import metrics_snapshot
@@ -53,28 +51,6 @@ from repro.runtime.transport import PeerAddress, TcpMesh
 logger = logging.getLogger(__name__)
 
 DecidedHandler = Callable[[int, Any], None]
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Leader-side proposal pipelining with watermark flow control.
-
-    Client entries queue in the node (not the replica) and are admitted
-    in ``max_batch`` chunks while the node is *unchoked*. The node chokes
-    when either the in-flight window (proposed-but-not-yet-decided
-    entries) reaches ``inflight_high`` or the transport's write buffer
-    (asyncio buffered + coalescing-staged bytes, via
-    ``TcpMesh.get_write_buffer_size``) reaches ``write_buffer_high``; it
-    unchokes only once both fall back to their low watermarks —
-    hysteresis, so admission doesn't thrash at the boundary. Decided
-    entries observed in the node's drain shrink the window.
-    """
-
-    inflight_high: int = 4096
-    inflight_low: int = 1024
-    max_batch: int = 256
-    write_buffer_high: int = 1 * 1024 * 1024
-    write_buffer_low: int = 256 * 1024
 
 
 class RuntimeNode:
@@ -92,23 +68,11 @@ class RuntimeNode:
         ping_interval_ms: Optional[float] = None,
         flight_capacity: int = 512,
         flight_dump_path: Optional[str] = None,
-        pipeline: Optional[PipelineConfig] = None,
     ):
-        if pipeline is not None and on_decided is None:
-            raise ConfigError(
-                "pipeline flow control needs on_decided: the in-flight "
-                "window shrinks as decided entries drain through the "
-                "node's handler, and without one they stay queued in the "
-                "replica and the window never reopens"
-            )
         self._replica = replica
         self._tick_s = tick_ms / 1000.0
         self._on_decided = on_decided
         self._obs = obs if obs is not None else NULL_REGISTRY
-        self._pipeline = pipeline
-        self._pending: Deque[Any] = deque()
-        self._inflight = 0
-        self._choked = False
         self._mesh = TcpMesh(
             pid=replica.pid,
             listen=listen,
@@ -205,67 +169,15 @@ class RuntimeNode:
         await self._mesh.close()
 
     def propose(self, entry: Any) -> None:
-        """Propose a client entry at this server. With pipelining
-        enabled the entry queues in the node and is admitted to the
-        replica by the watermark-gated pump. An entry the wire cannot
-        carry raises :class:`TransportError` here, not after the leader
-        has appended an entry it can never replicate."""
+        """Propose a client entry at this server. An entry the wire
+        cannot carry raises :class:`TransportError` here, not after the
+        leader has appended an entry it can never replicate."""
         check_encodable(entry)
-        if self._pipeline is not None:
-            self._pending.append(entry)
-            self._pump_proposals()
-            return
         self._step(self._replica.propose, entry)
 
     def propose_batch(self, entries: List[Any]) -> None:
         check_encodable(*entries)
-        if self._pipeline is not None:
-            self._pending.extend(entries)
-            self._pump_proposals()
-            return
         self._step(self._replica.propose_batch, entries)
-
-    @property
-    def pending_proposals(self) -> int:
-        """Entries queued in the node, not yet admitted to the replica."""
-        return len(self._pending)
-
-    @property
-    def inflight_proposals(self) -> int:
-        """Entries admitted to the replica but not yet seen decided here."""
-        return self._inflight
-
-    def _pump_proposals(self) -> None:
-        """Admit pending entries in ``max_batch`` chunks while unchoked.
-
-        The in-flight window counts entries this node admitted minus
-        decided entries observed in :meth:`_drain`; the byte watermark
-        reads the transport's combined asyncio + staging buffers. Both
-        use choke/unchoke hysteresis (see :class:`PipelineConfig`).
-        """
-        cfg = self._pipeline
-        assert cfg is not None
-        if self._choked:
-            if (self._inflight <= cfg.inflight_low
-                    and self._mesh.get_write_buffer_size()
-                    <= cfg.write_buffer_low):
-                self._choked = False
-            else:
-                return
-        pending = self._pending
-        while pending and not self._choked:
-            if (self._inflight >= cfg.inflight_high
-                    or self._mesh.get_write_buffer_size()
-                    >= cfg.write_buffer_high):
-                self._choked = True
-                break
-            batch = []
-            take = min(cfg.max_batch,
-                       cfg.inflight_high - self._inflight, len(pending))
-            for _ in range(take):
-                batch.append(pending.popleft())
-            self._step(self._replica.propose_batch, batch)
-            self._inflight += len(batch)
 
     # ------------------------------------------------------------------
 
@@ -277,13 +189,6 @@ class RuntimeNode:
             str(peer): round(rtt, 3)
             for peer, rtt in sorted(self._mesh.link_rtt_ms.items())
         }
-        if self._pipeline is not None:
-            status["pipeline"] = {
-                "pending": len(self._pending),
-                "inflight": self._inflight,
-                "choked": self._choked,
-                "write_buffer_bytes": self._mesh.get_write_buffer_size(),
-            }
         if self.flight is not None:
             status["flight"] = self.flight.as_dict()
         return status
@@ -320,12 +225,6 @@ class RuntimeNode:
         from repro.obs import prof
         prof.sample_queue_depths(self._obs, self._mesh.queue_depths(),
                                  pid=self.pid, last=self._series_memo)
-        if self._pipeline is not None:
-            prof.sample_queue_depths(
-                self._obs,
-                {"pipeline_pending": len(self._pending),
-                 "pipeline_inflight": self._inflight},
-                pid=self.pid, last=self._series_memo)
         depths = getattr(self._replica, "queue_depths", None)
         if depths is not None:
             prof.sample_queue_depths(self._obs, depths(), pid=self.pid,
@@ -341,10 +240,6 @@ class RuntimeNode:
                 await asyncio.sleep(self._tick_s)
                 with contextlib.suppress(StorageError):  # node is stopping
                     self._step(self._replica.tick)
-                    if self._pipeline is not None and self._pending:
-                        # Watermark re-check even when no decide arrived
-                        # this tick (e.g. the write buffer drained).
-                        self._pump_proposals()
                 if self._series is not None:
                     self._sample_series()
         except asyncio.CancelledError:
@@ -430,16 +325,8 @@ class RuntimeNode:
             # No handler: leave decided entries queued in the replica for
             # an external consumer (e.g. a ReplicatedKVStore pumping it).
             if self._on_decided is not None:
-                decided = self._replica.take_decided()
-                for idx, entry in decided:
+                for idx, entry in self._replica.take_decided():
                     self._on_decided(idx, entry)
-                if decided and self._pipeline is not None:
-                    # Decided entries shrink the in-flight window (floored
-                    # at 0: a follower also sees entries it never admitted)
-                    # and may reopen admission for queued proposals.
-                    self._inflight = max(0, self._inflight - len(decided))
-                    if self._pending:
-                        self._pump_proposals()
         except StorageError:
             self._storage_failed()
             return

@@ -287,22 +287,14 @@ class TcpMesh(Instrumented):
     def connected_peers(self) -> Tuple[int, ...]:
         return tuple(sorted(self._writers))
 
-    def get_write_buffer_size(self, dst: Optional[int] = None) -> int:
-        """Bytes queued toward ``dst`` (or all peers): asyncio write
-        buffer plus our staging buffer. ``RuntimeNode``'s pipelining
-        watermarks key off this."""
-        total = 0
-        writers = ([self._writers[dst]] if dst is not None
-                   and dst in self._writers else
-                   list(self._writers.values()) if dst is None else [])
-        for writer in writers:
+    def get_write_buffer_size(self) -> int:
+        """Bytes queued toward all peers: asyncio write buffers plus our
+        staging buffers. Sampled as the ``tcp_write`` queue depth."""
+        total = sum(len(b) for b in self._staged.values())
+        for writer in self._writers.values():
             transport = writer.transport
             if transport is not None:
                 total += transport.get_write_buffer_size()
-        if dst is None:
-            total += sum(len(b) for b in self._staged.values())
-        else:
-            total += len(self._staged.get(dst, b""))
         return total
 
     def queue_depths(self) -> Dict[str, int]:

@@ -11,35 +11,25 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
-try:  # scipy is available in the target environment but keep a fallback
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _scipy_stats = None
-
-
-# Two-sided 97.5% t quantiles for small degrees of freedom, used when scipy
-# is unavailable. Index = degrees of freedom.
+# Two-sided 95 % (0.975 one-sided) t quantiles by degrees of freedom.
 _T_975 = {
     1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447, 7: 2.365,
     8: 2.306, 9: 2.262, 10: 2.228, 11: 2.201, 12: 2.179, 13: 2.160,
-    14: 2.145, 15: 2.131, 20: 2.086, 25: 2.060, 30: 2.042, 40: 2.021,
+    14: 2.145, 15: 2.131, 16: 2.120, 17: 2.110, 18: 2.101, 19: 2.093,
+    20: 2.086, 21: 2.080, 22: 2.074, 23: 2.069, 24: 2.064, 25: 2.060,
+    26: 2.056, 27: 2.052, 28: 2.048, 29: 2.045, 30: 2.042, 40: 2.021,
     60: 2.000, 120: 1.980,
 }
 
 
-def _t_quantile(df: int, confidence: float) -> float:
-    """Two-sided t quantile for ``df`` degrees of freedom."""
-    if _scipy_stats is not None:
-        return float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df))
-    if confidence != 0.95:
-        raise ValueError("fallback table only supports 95% confidence")
-    if df in _T_975:
-        return _T_975[df]
-    keys = sorted(_T_975)
-    for key in keys:
-        if df < key:
-            return _T_975[key]
-    return 1.96
+def _t_quantile(df: int) -> float:
+    """Two-sided 95 % t quantile for ``df`` >= 1 degrees of freedom.
+
+    A ``df`` between table keys rounds *down* to the nearest key: the
+    quantile falls as ``df`` grows, so the value returned is never below
+    the true one and the interval never narrower than the truth.
+    """
+    return _T_975[max(key for key in _T_975 if key <= df)]
 
 
 @dataclass(frozen=True)
@@ -49,7 +39,6 @@ class ConfidenceInterval:
     mean: float
     half_width: float
     n: int
-    confidence: float = 0.95
 
     @property
     def low(self) -> float:
@@ -63,8 +52,8 @@ class ConfidenceInterval:
         return f"{self.mean:.2f} ± {self.half_width:.2f} (n={self.n})"
 
 
-def mean_ci(samples: Sequence[float], confidence: float = 0.95) -> ConfidenceInterval:
-    """Mean and t-distribution confidence interval of ``samples``.
+def mean_ci(samples: Sequence[float]) -> ConfidenceInterval:
+    """Mean and 95 % t-distribution confidence interval of ``samples``.
 
     A single sample yields a zero-width interval rather than an error so
     smoke-test benchmark runs with one repetition still produce output.
@@ -75,11 +64,11 @@ def mean_ci(samples: Sequence[float], confidence: float = 0.95) -> ConfidenceInt
     n = len(values)
     mean = sum(values) / n
     if n == 1:
-        return ConfidenceInterval(mean=mean, half_width=0.0, n=1, confidence=confidence)
+        return ConfidenceInterval(mean=mean, half_width=0.0, n=1)
     variance = sum((v - mean) ** 2 for v in values) / (n - 1)
     sem = math.sqrt(variance / n)
-    half = _t_quantile(n - 1, confidence) * sem
-    return ConfidenceInterval(mean=mean, half_width=half, n=n, confidence=confidence)
+    half = _t_quantile(n - 1) * sem
+    return ConfidenceInterval(mean=mean, half_width=half, n=n)
 
 
 def percentile(samples: Sequence[float], q: float) -> float:

@@ -1,39 +1,37 @@
-"""Tests for the repro.bench harness: determinism across identical runs,
-the deterministic-counter view, and the before/after comparison logic.
+"""Tests for the repro.bench behaviour gate: determinism across identical
+runs, the decided-log digest, and the ``repro-bench smoke`` CLI against
+the committed baseline.
 
-The determinism tests are the harness's core promise: same seed + same
+The determinism tests are the gate's core promise: same seed + same
 config => byte-identical decided logs and identical event/message counts,
-no matter how long the runs took in wall-clock. Budgets here are tiny —
-the property, not the throughput, is under test.
+no matter how long the runs took in wall-clock. Sizes here are tiny.
 """
 
+import json
+from pathlib import Path
+
 from repro.bench.micro import bench_codec, bench_commit_loop, bench_event_queue
-from repro.bench.macro import run_macro
-from repro.bench.runner import (
-    INFORMATIONAL_COUNTERS,
-    LogDigest,
-    compare_results,
-    deterministic_view,
-)
+from repro.bench.macro import run_macro, run_runtime_macro
+from repro.bench.runner import LogDigest
+from repro.omni.entry import Command
+from repro.tools.bench import main
+
+BASELINE = (Path(__file__).resolve().parents[1]
+            / "benchmarks" / "bench_baseline.json")
 
 
 class TestMicroDeterminism:
     def test_event_queue_counters_stable(self):
-        a = bench_event_queue(2_000, seed=7)
-        b = bench_event_queue(2_000, seed=7)
-        assert a["counters"] == b["counters"]
-        assert a["ops"] == b["ops"]
+        assert bench_event_queue(2_000, seed=7) == \
+            bench_event_queue(2_000, seed=7)
 
     def test_commit_loop_digest_and_counts_stable(self):
         a = bench_commit_loop(8, 16, seed=3)
-        b = bench_commit_loop(8, 16, seed=3)
-        assert a["counters"] == b["counters"]
-        assert "decided_log_digest" in a["counters"]
+        assert a == bench_commit_loop(8, 16, seed=3)
+        assert "decided_log_digest" in a
 
     def test_codec_counters_stable(self):
-        a = bench_codec(200)
-        b = bench_codec(200)
-        assert a["counters"] == b["counters"]
+        assert bench_codec(200) == bench_codec(200)
 
 
 class TestMacroDeterminism:
@@ -45,10 +43,9 @@ class TestMacroDeterminism:
                       num_servers=3)
         b = run_macro("omni", duration_ms=500.0, cp=16, seed=5,
                       num_servers=3)
-        assert a["counters"]["decided_log_digest"] == \
-            b["counters"]["decided_log_digest"]
-        assert a["counters"] == b["counters"]
-        assert a["counters"]["decided_total"] > 0
+        assert a["decided_log_digest"] == b["decided_log_digest"]
+        assert a == b
+        assert a["decided_total"] > 0
 
     def test_different_seed_different_counters(self):
         a = run_macro("omni", duration_ms=500.0, cp=16, seed=5,
@@ -58,32 +55,30 @@ class TestMacroDeterminism:
         # Seeds drive jitter-free runs too (client/network RNG streams);
         # at minimum the runs are *allowed* to differ — what matters is
         # that equality is not an artifact of the digest ignoring input.
-        assert a["counters"]["events_processed"] > 0
-        assert b["counters"]["events_processed"] > 0
+        assert a["events_processed"] > 0
+        assert b["events_processed"] > 0
 
 
 class TestRuntimeDigestIdentity:
     def test_runtime_digest_is_a_function_of_the_proposals(self):
         """The runtime macro bench over real TCP must decide exactly what
-        was proposed, in order, at every server — the wire, coalescing and
-        pipelining change how bytes move, never what the cluster decides.
-        The expected digest is computed here from the proposals alone."""
-        from repro.bench.macro import run_runtime_macro
-        from repro.omni.entry import Command
-
-        result = run_runtime_macro("omni", n_entries=100, payload_bytes=8,
-                                   seed=3)
+        was proposed, in order, at every server — the wire and coalescing
+        change how bytes move, never what the cluster decides, under
+        either protocol. The expected digest is computed here from the
+        proposals alone."""
         expected = LogDigest()
         for pid in (1, 2, 3):
             for idx in range(100):
                 expected.record(pid, idx, Command(data=b"x" * 8,
                                                   client_id=1, seq=idx))
-        assert result["counters"] == {
-            "decided_per_server": 100,
-            "num_servers": 3,
-            "entries_proposed": 100,
-            "decided_log_digest": expected.hexdigest(),
-        }
+        for protocol in ("omni", "raft"):
+            assert run_runtime_macro(protocol, n_entries=100,
+                                     payload_bytes=8, seed=3) == {
+                "decided_per_server": 100,
+                "num_servers": 3,
+                "entries_proposed": 100,
+                "decided_log_digest": expected.hexdigest(),
+            }, protocol
 
 
 class TestLogDigest:
@@ -114,40 +109,22 @@ class TestLogDigest:
         assert a.hexdigest() == b.hexdigest()
 
 
-def _doc(counters, ops_per_sec=100.0):
-    return {"micro": {"codec": {"name": "codec", "ops_per_sec": ops_per_sec,
-                                "counters": counters}}}
+class TestGateCli:
+    """``repro-bench smoke`` is the behaviour contract every PR quotes;
+    CI runs the same command (job ``bench-smoke``)."""
 
+    def test_committed_baseline_matches(self, capsys):
+        assert main(["smoke", "--baseline", str(BASELINE)]) == 0
+        assert "baseline OK: 12 benches" in capsys.readouterr().out
 
-class TestCompareResults:
-    def test_identical_counters_pass(self):
-        cmp = compare_results(_doc({"frames_decoded": 5}),
-                              _doc({"frames_decoded": 5}, 200.0))
-        assert cmp["behaviour_identical"]
-        assert cmp["speedup"]["micro.codec"] == 2.0
-
-    def test_counter_drift_fails(self):
-        cmp = compare_results(_doc({"frames_decoded": 5}),
-                              _doc({"frames_decoded": 6}))
-        assert not cmp["behaviour_identical"]
-        assert cmp["counter_mismatches"] == ["micro.codec"]
-
-    def test_informational_byte_counters_ignored(self):
-        """Wire-byte counters track the wire encoding, not protocol
-        behaviour: they may change across versions without failing the
-        behaviour check, as long as frame *counts* still match."""
-        assert "frame_bytes" in INFORMATIONAL_COUNTERS
-        cmp = compare_results(
-            _doc({"frames_decoded": 5, "frame_bytes": 715,
-                  "stream_bytes": 7150}),
-            _doc({"frames_decoded": 5, "frame_bytes": 538,
-                  "stream_bytes": 5380}),
-        )
-        assert cmp["behaviour_identical"]
-
-    def test_deterministic_view_keeps_byte_counters(self):
-        """The same-build CI baseline diff *does* check byte counters —
-        only the cross-version comparison treats them as informational."""
-        view = deterministic_view(_doc({"frames_decoded": 5,
-                                        "frame_bytes": 538}))
-        assert view["micro.codec"]["frame_bytes"] == 538
+    def test_altered_digest_fails_and_names_the_bench(self, tmp_path, capsys):
+        doc = json.loads(BASELINE.read_text())
+        doc["counters"]["macro.sim_vr"]["decided_log_digest"] = "0" * 64
+        altered = tmp_path / "baseline.json"
+        altered.write_text(json.dumps(doc))
+        assert main(["smoke", "--baseline", str(altered)]) == 1
+        out = capsys.readouterr().out
+        assert "BASELINE DRIFT" in out
+        mismatched = [line.strip() for line in out.splitlines()
+                      if line.startswith("  ") and line.endswith(":")]
+        assert mismatched == ["macro.sim_vr:"]

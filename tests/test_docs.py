@@ -1,4 +1,5 @@
-"""Documentation consistency: referenced modules and files must exist."""
+"""Documentation consistency: referenced modules, files and CLI
+subcommands must exist."""
 
 import importlib
 import pathlib
@@ -14,6 +15,27 @@ MODULE_RE = re.compile(r"`(repro(?:\.[a-z_]+)+)`")
 PATH_RE = re.compile(
     r"`((?:src|tests|benchmarks|examples|docs)/[A-Za-z0-9_./-]+\.(?:py|md))`"
 )
+
+# Docs whose fenced code blocks show runnable `repro-*` command lines.
+COMMAND_DOCS = [ROOT / "README.md", ROOT / "EXPERIMENTS.md",
+                *sorted((ROOT / "docs").glob("*.md")),
+                ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
+FENCE_RE = re.compile(r"^[ \t]*```.*?^[ \t]*```", re.M | re.S)
+# `repro-<tool> <subcommand>` or `python -m repro.tools.<tool> <subcommand>`;
+# a flag or a file name in second place is not a subcommand.
+COMMAND_RE = re.compile(
+    r"(repro-[a-z]+|repro\.tools\.[a-z_]+)[ \t]+([a-z][a-z-]*)(?=\s)")
+SCRIPTS = dict(re.findall(r'^(repro-[a-z]+) = "([a-z_.]+):main"$',
+                          (ROOT / "pyproject.toml").read_text(), re.M))
+
+
+def _documented_subcommands():
+    out = set()
+    for doc in COMMAND_DOCS:
+        for block in FENCE_RE.findall(doc.read_text()):
+            for tool, sub in COMMAND_RE.findall(block):
+                out.add((SCRIPTS.get(tool, tool), sub))
+    return sorted(out)
 
 
 def _referenced(pattern):
@@ -44,6 +66,15 @@ class TestDocReferences:
     @pytest.mark.parametrize("path", _referenced(PATH_RE))
     def test_path_references_exist(self, path):
         assert (ROOT / path).exists(), f"{path} referenced but missing"
+
+    @pytest.mark.parametrize("module, sub", _documented_subcommands())
+    def test_documented_subcommands_parse(self, module, sub, capsys):
+        """A deleted subcommand cannot linger as a runnable-looking line:
+        the tool's own parser must accept it. (A tool without subcommands
+        prints its help for any bare word, so it passes trivially.)"""
+        with pytest.raises(SystemExit) as exit_info:
+            importlib.import_module(module).main([sub, "--help"])
+        assert exit_info.value.code == 0, capsys.readouterr().err
 
     def test_experiments_covers_every_artifact(self):
         text = (ROOT / "EXPERIMENTS.md").read_text()

@@ -1,6 +1,10 @@
 """Unit tests for statistics and RNG utilities."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -32,6 +36,18 @@ class TestMeanCI:
         sd = math.sqrt(sum((x - 1.0) ** 2 for x in samples) / 9)
         expected = 2.262 * sd / math.sqrt(10)
         assert ci.half_width == pytest.approx(expected, rel=1e-3)
+
+    @pytest.mark.parametrize("df, t", [
+        (9, 2.262),      # the paper's ten repetitions
+        (16, 2.120), (19, 2.093),   # exact entries through df 30
+        (35, 2.042),     # between keys: round df down to 30, never up to 40
+        (1000, 1.980),   # past the table: its last key, 120
+    ])
+    def test_t_quantile_never_narrower_than_the_truth(self, df, t):
+        samples = [float(i % 3) for i in range(df + 1)]
+        mean = sum(samples) / (df + 1)
+        sem = math.sqrt(sum((x - mean) ** 2 for x in samples) / df / (df + 1))
+        assert mean_ci(samples).half_width / sem == pytest.approx(t, abs=1e-9)
 
     def test_bounds(self):
         ci = mean_ci([1.0, 2.0, 3.0])
@@ -82,6 +98,22 @@ class TestSummarize:
         assert stats["min"] == 1.0
         assert stats["max"] == 3.0
         assert stats["n"] == 3
+
+
+class TestImportHygiene:
+    def test_no_numeric_stack_at_import(self):
+        """Interpreter start-up is part of every benchmark workload's
+        ``setup_s``: importing the library and the gate must not drag in
+        scipy/numpy (about a second) or an optional event loop."""
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys, repro, repro.runtime, repro.sim, "
+                "repro.tools.bench; "
+                "print(sorted({'scipy', 'numpy', 'uvloop'} "
+                "& set(sys.modules)))")
+        out = subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "[]"
 
 
 class TestRng:

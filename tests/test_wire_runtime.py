@@ -1,5 +1,5 @@
 """Runtime wire-path tests: coalescing, backpressure, corrupt-frame
-handling, clean teardown, and leader-side proposal pipelining."""
+handling, unencodable entries, clean teardown and storage failure."""
 
 import asyncio
 import socket
@@ -7,18 +7,12 @@ import warnings
 
 import pytest
 
-from repro.errors import ConfigError, TransportError
+from repro.errors import TransportError
 from repro.obs.registry import MetricsRegistry
 from repro.omni.entry import Command
 from repro.omni.messages import COMPONENT_SP, Envelope, PrepareReq
 from repro.omni.server import ClusterConfig, OmniPaxosConfig, OmniPaxosServer
-from repro.runtime import (
-    PeerAddress,
-    PipelineConfig,
-    RuntimeNode,
-    TcpMesh,
-    install_uvloop,
-)
+from repro.runtime import PeerAddress, RuntimeNode, TcpMesh
 from repro.runtime.codec import encode_frame
 
 
@@ -380,133 +374,6 @@ class TestTeardown:
             asyncio.run(scenario())
 
 
-class TestPipelining:
-    def _build(self, pipeline_for_all=None, on_decided=None):
-        cc = ClusterConfig(0, (1, 2, 3))
-        addrs = make_addrs(list(cc.servers))
-        nodes = {}
-        for p in cc.servers:
-            server = OmniPaxosServer(OmniPaxosConfig(
-                pid=p, cluster=cc, hb_period_ms=40.0, initial_leader=1))
-            handler = on_decided(p) if on_decided else (lambda i, e: None)
-            nodes[p] = RuntimeNode(
-                server, addrs[p],
-                {q: a for q, a in addrs.items() if q != p},
-                tick_ms=5.0,
-                on_decided=handler,
-                pipeline=pipeline_for_all,
-            )
-        return nodes
-
-    def test_pipeline_requires_decided_handler(self):
-        addrs = make_addrs([1, 2])
-        cc = ClusterConfig(0, (1, 2))
-        server = OmniPaxosServer(OmniPaxosConfig(pid=1, cluster=cc))
-        with pytest.raises(ConfigError):
-            RuntimeNode(server, addrs[1], {2: addrs[2]},
-                        pipeline=PipelineConfig())
-
-    def test_pipelined_proposals_all_decide(self):
-        async def scenario():
-            decided = {1: [], 2: [], 3: []}
-
-            def handler(pid):
-                return lambda idx, entry: decided[pid].append((idx, entry))
-
-            cfg = PipelineConfig(inflight_high=64, inflight_low=16,
-                                 max_batch=16)
-            nodes = self._build(pipeline_for_all=cfg, on_decided=handler)
-            for node in nodes.values():
-                await node.start()
-            try:
-                await wait_for(lambda: all(
-                    n.leader_pid == 1 for n in nodes.values()))
-                entries = [Command(data=b"p", client_id=1, seq=i)
-                           for i in range(500)]
-                nodes[1].propose_batch(entries)
-                # Admission is watermark-bounded, not all-at-once.
-                assert nodes[1].inflight_proposals <= 64
-                await wait_for(lambda: all(
-                    len(d) == 500 for d in decided.values()))
-            finally:
-                for node in nodes.values():
-                    await node.stop()
-            return decided
-
-        decided = asyncio.run(scenario())
-        for pid in (1, 2, 3):
-            assert [e.seq for _, e in decided[pid]] == list(range(500))
-        assert decided[1] == decided[2] == decided[3]
-
-    def test_window_chokes_then_drains(self):
-        async def scenario():
-            decided = {1: 0, 2: 0, 3: 0}
-
-            def handler(pid):
-                def on_decided(idx, entry):
-                    decided[pid] += 1
-                return on_decided
-
-            cfg = PipelineConfig(inflight_high=8, inflight_low=2,
-                                 max_batch=4)
-            nodes = self._build(pipeline_for_all=cfg, on_decided=handler)
-            for node in nodes.values():
-                await node.start()
-            try:
-                await wait_for(lambda: all(
-                    n.leader_pid == 1 for n in nodes.values()))
-                leader = nodes[1]
-                leader.propose_batch(
-                    [Command(data=b"c", client_id=1, seq=i)
-                     for i in range(40)])
-                # Tiny window: most entries must still be queued in the
-                # node, in-flight capped at the high watermark.
-                assert leader.inflight_proposals <= 8
-                assert leader.pending_proposals >= 32
-                assert leader.status()["pipeline"]["choked"] is True
-                await wait_for(lambda: all(c == 40
-                                           for c in decided.values()))
-            finally:
-                for node in nodes.values():
-                    await node.stop()
-            return decided
-
-        assert set(asyncio.run(scenario()).values()) == {40}
-
-    def test_pending_and_inflight_drain_to_zero(self):
-        async def scenario():
-            counts = {1: 0, 2: 0, 3: 0}
-
-            def handler(pid):
-                def on_decided(idx, entry):
-                    counts[pid] += 1
-                return on_decided
-
-            cfg = PipelineConfig(inflight_high=32, inflight_low=8,
-                                 max_batch=8)
-            nodes = self._build(pipeline_for_all=cfg, on_decided=handler)
-            for node in nodes.values():
-                await node.start()
-            try:
-                await wait_for(lambda: all(
-                    n.leader_pid == 1 for n in nodes.values()))
-                nodes[1].propose_batch(
-                    [Command(data=b"d", client_id=1, seq=i)
-                     for i in range(100)])
-                await wait_for(lambda: all(c == 100
-                                           for c in counts.values()))
-                await wait_for(lambda: nodes[1].pending_proposals == 0
-                               and nodes[1].inflight_proposals == 0)
-                status = nodes[1].status()
-                assert status["pipeline"]["pending"] == 0
-                assert status["pipeline"]["choked"] is False
-            finally:
-                for node in nodes.values():
-                    await node.stop()
-
-        asyncio.run(scenario())
-
-
 class TestStorageFailure:
     @pytest.mark.parametrize("good_writes", [
         0,  # the append fails, inside the message handler
@@ -580,13 +447,3 @@ class TestStorageFailure:
 
         assert asyncio.run(scenario()) == []
         assert dump.exists() and dump.stat().st_size > 0
-
-
-class TestUvloop:
-    def test_install_uvloop_is_gated(self):
-        # The container has no uvloop: the helper must report False and
-        # leave the default policy working.
-        result = install_uvloop()
-        assert result in (True, False)
-        if not result:
-            asyncio.run(asyncio.sleep(0))  # policy still functional
