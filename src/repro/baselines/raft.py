@@ -346,6 +346,8 @@ class RaftReplica(Replica, Instrumented):
         self._match_idx: Dict[int, int] = {}
         self._last_heard: Dict[int, float] = {}
         self._append_seq: Dict[int, int] = {}
+        #: Whether entries were proposed since the last hand-out.
+        self._unsent = False
         self._outbox: List[Tuple[int, Any]] = []
         self._decided_out: List[Tuple[int, Any]] = []
         # Transport snapshot (lazily folded committed prefix).
@@ -545,7 +547,7 @@ class RaftReplica(Replica, Instrumented):
                 self._step_down(self._term, now_ms, leader=None)
         if self._role is RaftRole.LEADER:
             if now_ms >= self._heartbeat_deadline:
-                self._broadcast_append(now_ms, heartbeat=True)
+                self._broadcast_append(heartbeat=True)
                 self._heartbeat_deadline = now_ms + self._config.heartbeat_interval
             if self._config.check_quorum and now_ms >= self._election_deadline:
                 self._check_quorum(now_ms)
@@ -582,7 +584,8 @@ class RaftReplica(Replica, Instrumented):
         self.propose_batch([entry], now_ms)
 
     def propose_batch(self, entries: Sequence[Any], now_ms: float) -> None:
-        """Append and replicate ``entries`` (leader only).
+        """Append ``entries`` (leader only); the ``AppendEntries`` that
+        replicate them are built by the next :meth:`take_outbox`.
 
         Raft clients are redirected rather than forwarded: a non-leader
         raises :class:`NotLeaderError` carrying its best leader hint.
@@ -598,7 +601,7 @@ class RaftReplica(Replica, Instrumented):
                 protocol="raft", trace_id=entry_trace_id(entries[0]),
             ))
         self._maybe_commit()
-        self._broadcast_append(now_ms)
+        self._unsent = True
 
     def propose_reconfiguration(self, servers: Sequence[int],
                                 now_ms: float) -> None:
@@ -618,7 +621,7 @@ class RaftReplica(Replica, Instrumented):
                 self._replication_targets.add(peer)
                 self._next_idx[peer] = len(self._log)
                 self._match_idx[peer] = 0
-        self._broadcast_append(now_ms)
+        self._broadcast_append()
 
     def transfer_leadership(self, target: int, now_ms: float) -> None:
         """Hand leadership to ``target`` (must be an up-to-date voter).
@@ -635,7 +638,7 @@ class RaftReplica(Replica, Instrumented):
             raise ConfigError(f"{target} is not a transferable voter")
         if self._match_idx.get(target, 0) < len(self._log):
             # Catch the target up first; callers retry once it matches.
-            self._send_append(target, now_ms, force=True)
+            self._send_append(target, force=True)
             raise ConfigError(f"server {target} is not caught up yet")
         self._send(target, TimeoutNow(self._term))
 
@@ -647,6 +650,11 @@ class RaftReplica(Replica, Instrumented):
         self._start_election(now_ms)
 
     def take_outbox(self) -> List[Tuple[int, Any]]:
+        if self._unsent:
+            # One AppendEntries per follower for everything proposed since
+            # the last hand-out (none if we were deposed in between).
+            self._unsent = False
+            self._broadcast_append()
         out, self._outbox = self._outbox, []
         return out
 
@@ -836,7 +844,7 @@ class RaftReplica(Replica, Instrumented):
         self._last_heard = {p: now_ms for p in self._replication_targets}
         self._heartbeat_deadline = now_ms
         self._election_deadline = now_ms + self._config.election_timeout_ms
-        self._broadcast_append(now_ms, heartbeat=True)
+        self._broadcast_append(heartbeat=True)
 
     def _step_down(self, term: int, now_ms: float,
                    leader: Optional[int]) -> None:
@@ -868,7 +876,7 @@ class RaftReplica(Replica, Instrumented):
     # internals: log replication
     # ------------------------------------------------------------------
 
-    def _broadcast_append(self, now_ms: float, heartbeat: bool = False) -> None:
+    def _broadcast_append(self, heartbeat: bool = False) -> None:
         if self._role is not RaftRole.LEADER:
             return
         # In steady state every follower has the same next_idx, so the
@@ -876,7 +884,7 @@ class RaftReplica(Replica, Instrumented):
         # through a broadcast-scoped memo instead of re-slicing per peer.
         memo: Dict[Tuple[int, int], Tuple[RaftSlot, ...]] = {}
         for peer in sorted(self._replication_targets):
-            self._send_append(peer, now_ms, force=heartbeat, slice_memo=memo)
+            self._send_append(peer, force=heartbeat, slice_memo=memo)
 
     def _should_snapshot_to(self, next_idx: int) -> bool:
         threshold = self._config.snapshot_catchup_threshold
@@ -941,7 +949,7 @@ class RaftReplica(Replica, Instrumented):
             self._set_commit(min(msg.leader_commit, len(self._log)))
         self._send(src, AppendEntriesReply(self._term, True, len(self._log)))
 
-    def _send_append(self, peer: int, now_ms: float, force: bool = False,
+    def _send_append(self, peer: int, force: bool = False,
                      slice_memo: Optional[Dict[Tuple[int, int],
                                               Tuple[RaftSlot, ...]]] = None,
                      ) -> None:
@@ -1038,7 +1046,7 @@ class RaftReplica(Replica, Instrumented):
             self._next_idx[src] = max(self._next_idx.get(src, 0), msg.match_idx)
             self._maybe_commit()
             if self._next_idx[src] < len(self._log):
-                self._send_append(src, now_ms)
+                self._send_append(src)
         else:
             if msg.seq != self._append_seq.get(src):
                 return  # stale rejection of an already-superseded probe
@@ -1046,7 +1054,7 @@ class RaftReplica(Replica, Instrumented):
             self._next_idx[src] = min(
                 msg.match_idx, max(self._next_idx.get(src, 1) - 1, 0)
             )
-            self._send_append(src, now_ms)
+            self._send_append(src)
 
     def _committed_by(self, idx: int, voter_set: Sequence[int]) -> bool:
         count = 0

@@ -253,13 +253,13 @@ class VRReplica(Replica, Instrumented):
 
     def propose(self, entry: Any, now_ms: float) -> None:
         self._sp.propose(entry)
-        self._drain_sp()
 
     def propose_batch(self, entries: Sequence[Any], now_ms: float) -> None:
         self._sp.propose_batch(entries)
-        self._drain_sp()
 
     def take_outbox(self) -> List[Tuple[int, Any]]:
+        # Sequence Paxos builds the messages for what was proposed since
+        # the last hand-out in its own take_outbox.
         self._drain_sp()
         out, self._outbox = self._outbox, []
         return out

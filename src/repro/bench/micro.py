@@ -1,15 +1,18 @@
 """Micro benches of the behaviour gate, one per hot-path layer.
 
 Each bench drives one layer — the event queue, the network send path,
-the Sequence Paxos commit loop, the runtime codec, the observability
-stack — and returns the deterministic counters that pin its behaviour.
+the Sequence Paxos commit loop, the hand-out fan-out, the runtime codec,
+the observability stack — and returns the deterministic counters that
+pin its behaviour.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Dict
+from collections import deque
+from typing import Any, Deque, Dict, Tuple
 
+from repro.baselines.raft import AppendEntries, RaftConfig, RaftReplica
 from repro.bench.runner import LogDigest
 from repro.omni.ballot import Ballot
 from repro.omni.entry import Command
@@ -19,6 +22,8 @@ from repro.omni.messages import (
     Envelope,
     HeartbeatRequest,
 )
+from repro.omni.server import ClusterConfig, OmniPaxosConfig, OmniPaxosServer
+from repro.replica import Replica
 from repro.runtime.codec import FrameDecoder, encode_frame
 from repro.sim.events import EventQueue
 from repro.sim.harness import ExperimentConfig, build_experiment
@@ -198,6 +203,85 @@ def bench_obs_overhead(n_batches: int, batch_entries: int,
     }
 
 
+def _burst_then_one_handout(replicas: Dict[int, Replica],
+                            n_proposals: int) -> Dict[str, Any]:
+    """``n_proposals`` ``propose()`` calls at server 1, one hand-out,
+    then direct FIFO delivery (a hand-out after every message, like the
+    simulator) until every server has decided them all."""
+    wire: Deque[Tuple[int, int, Any]] = deque()
+    digest = LogDigest()
+    decided = dict.fromkeys(replicas, 0)
+    counts = {"replicate_msgs": 0, "replicate_entries": 0, "delivered": 0}
+
+    def hand_out(pid: int) -> None:
+        for dst, msg in replicas[pid].take_outbox():
+            inner = msg.payload if isinstance(msg, Envelope) else msg
+            if isinstance(inner, (AcceptDecide, AppendEntries)) \
+                    and inner.entries:  # not a Raft heartbeat
+                counts["replicate_msgs"] += 1
+                counts["replicate_entries"] += len(inner.entries)
+            wire.append((pid, dst, msg))
+        for idx, entry in replicas[pid].take_decided():
+            digest.record(pid, idx, entry)
+            decided[pid] += 1
+
+    def settle(now_ms: float) -> None:
+        while wire:
+            src, dst, msg = wire.popleft()
+            replicas[dst].on_message(src, msg, now_ms)
+            counts["delivered"] += 1
+            hand_out(dst)
+
+    for pid, replica in replicas.items():
+        replica.start(0.0)
+        hand_out(pid)
+    settle(0.0)  # the seeded leader synchronizes its followers
+    assert replicas[1].is_leader
+    counts.update(dict.fromkeys(counts, 0))  # count from the burst on
+    for seq in range(n_proposals):
+        replicas[1].propose(Command(data=bytes(8), client_id=1, seq=seq), 0.0)
+    hand_out(1)
+    settle(0.0)
+    now_ms = 0.0
+    while min(decided.values()) < n_proposals:
+        # Raft followers learn the commit index from the next heartbeat.
+        now_ms += 100.0
+        assert now_ms <= 300.0, decided
+        for pid, replica in replicas.items():
+            replica.tick(now_ms)
+            hand_out(pid)
+        settle(now_ms)
+    return {
+        "replicate_msgs": counts["replicate_msgs"],
+        "entries_per_replicate_msg": (counts["replicate_entries"]
+                                      / counts["replicate_msgs"]),
+        "messages_until_all_decided": counts["delivered"],
+        "decided_log_digest": digest.hexdigest(),
+    }
+
+
+def bench_handout_fanout(n_proposals: int, seed: int = 0) -> Dict[str, Any]:
+    """A burst of proposals costs one replication message per follower.
+
+    Three sans-io servers per protocol, no clock: what the leader appends
+    between two hand-outs leaves as one ``AcceptDecide`` (Omni-Paxos) or
+    one ``AppendEntries`` (Raft) per follower, so ``replicate_msgs`` is
+    the follower count however long the burst — per-proposal fan-out
+    would make it ``2 * n_proposals``.
+    """
+    servers = (1, 2, 3)
+    return {
+        "omni": _burst_then_one_handout({
+            pid: OmniPaxosServer(OmniPaxosConfig(
+                pid=pid, cluster=ClusterConfig(0, servers), initial_leader=1))
+            for pid in servers}, n_proposals),
+        "raft": _burst_then_one_handout({
+            pid: RaftReplica(RaftConfig(
+                pid=pid, voters=servers, seed=seed, initial_leader=1))
+            for pid in servers}, n_proposals),
+    }
+
+
 def bench_codec(n_frames: int, seed: int = 0) -> Dict[str, Any]:
     """Encode/decode round trips through the runtime framing codec.
 
@@ -239,6 +323,7 @@ def run_micro_suite(seed: int = 0) -> Dict[str, Dict[str, Any]]:
         "event_queue": bench_event_queue(20_000, seed),
         "network_send": bench_network_send(10_000, seed=seed),
         "commit_loop": bench_commit_loop(40, 32, seed),
+        "handout_fanout": bench_handout_fanout(64, seed),
         "codec": bench_codec(2_000, seed),
         "obs_overhead": bench_obs_overhead(40, 32, seed),
     }

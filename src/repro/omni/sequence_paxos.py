@@ -14,7 +14,10 @@ missing; the leader adopts the most updated log (highest ``acc_rnd``, then
 longest) which is guaranteed to contain every chosen entry, then re-syncs all
 promised followers with ``AcceptSync``. In the *Accept* phase the leader
 pipelines new entries with ``AcceptDecide`` over FIFO links and decides an
-index once a majority has accepted it.
+index once a majority has accepted it. A proposal is appended inside
+``propose``; the ``AcceptDecide`` that carries it is built when the driver
+next calls ``take_outbox``, one per follower for everything appended since
+the last hand-out.
 
 Because leader election is fully decoupled (it only requires
 quorum-connectivity, not log progress), the Prepare-phase synchronization is
@@ -153,6 +156,12 @@ class SequencePaxos(Instrumented):
         #: Last known decided index per follower (for trim validation).
         self._lds: Dict[int, int] = {}
         self._synced_peers: set = set()
+        #: Per-follower log index up to which entries were handed out (in
+        #: its AcceptSync or an AcceptDecide); what lies beyond it leaves
+        #: in the next :meth:`take_outbox`.
+        self._sent_idx: Dict[int, int] = {}
+        #: Whether entries were appended since the last hand-out.
+        self._unsent = False
         #: Per-follower AcceptDecide counters within a sync session.
         self._accept_seq: Dict[int, int] = {}
         #: Per-follower sync-session numbers: bumped on every AcceptSync so
@@ -321,14 +330,15 @@ class SequencePaxos(Instrumented):
     def propose(self, entry: Any) -> None:
         """Propose one entry for replication.
 
-        On the Accept-phase leader the entry is appended and pipelined
-        immediately; otherwise it is buffered or forwarded to the leader.
+        On the Accept-phase leader the entry is appended now and leaves
+        with the next :meth:`take_outbox`; otherwise it is buffered or
+        forwarded to the leader.
         Raises :class:`StoppedError` once a stop-sign is in the log.
         """
         self.propose_batch([entry])
 
     def propose_batch(self, entries: Sequence[Any]) -> None:
-        """Propose several entries at once (single AcceptDecide message)."""
+        """Propose several entries at once (one append)."""
         if self.stopped():
             self.stats.proposals_rejected += len(entries)
             raise StoppedError(
@@ -360,7 +370,15 @@ class SequencePaxos(Instrumented):
         self.propose(stopsign)
 
     def take_outbox(self) -> List[Tuple[int, Any]]:
-        """Drain pending outgoing ``(dst, message)`` pairs."""
+        """Drain pending outgoing ``(dst, message)`` pairs.
+
+        This is where proposals turn into replication messages: whatever
+        the Accept-phase leader appended since the last call leaves here,
+        as one ``AcceptDecide`` per synced follower.
+        """
+        if self._unsent:
+            self._unsent = False
+            self._replicate_unsent()
         out, self._outbox = self._outbox, []
         return out
 
@@ -533,6 +551,8 @@ class SequencePaxos(Instrumented):
         self._las = {}
         self._lds = {}
         self._synced_peers = set()
+        self._sent_idx = {}
+        self._unsent = False
         self._accept_seq = {}
         self._accept_session = {}
         self._trace_fanout = []  # stale fan-out times from an older tenure
@@ -647,6 +667,9 @@ class SequencePaxos(Instrumented):
             sync_idx = self._storage.compacted_idx()
         self.stats.accept_syncs_sent += 1
         self._synced_peers.add(pid)
+        # The suffix below runs to the end of the log, so it carries any
+        # entry proposed since the last hand-out: exactly once, here.
+        self._sent_idx[pid] = self._storage.log_len()
         self._accept_seq[pid] = 0  # AcceptSync restarts the seq counter...
         session = self._accept_session.get(pid, 0) + 1
         self._accept_session[pid] = session  # ...in a fresh, numbered session
@@ -660,10 +683,10 @@ class SequencePaxos(Instrumented):
         ))
 
     def _append_and_replicate(self, entries: Sequence[Any]) -> None:
-        # The whole-batch replication hot path: one append, one AcceptDecide
-        # per synced peer. Lookups are hoisted out of the fan-out loop; the
-        # peer iteration order (set order) is part of the deterministic
-        # behaviour and must not change.
+        """Everything a proposal needs done inside the call: clip at a
+        stop-sign, append, count our own acceptance, decide if we are the
+        majority. The ``AcceptDecide`` that replicates the entries is
+        built by :meth:`take_outbox`."""
         entries, rejected = self._clip_at_stopsign(entries)
         self.stats.proposals_rejected += rejected
         if not entries:
@@ -673,29 +696,57 @@ class SequencePaxos(Instrumented):
         self._append(entries)
         log_len = storage.log_len()
         self._las[self.pid] = log_len
+        self._unsent = True
         if self._obs.tracing:
             self._trace_fanout.append((log_len, self._obs.now_ms()))
             self._obs.emit(ProposalAppended(
                 pid=self.pid, from_idx=start_idx, to_idx=log_len,
                 protocol="sp", trace_id=entry_trace_id(entries[0]),
             ))
+        self._maybe_decide(log_len)
+
+    def _replicate_unsent(self) -> None:
+        """One ``AcceptDecide`` per synced follower, carrying the entries
+        past its sent index and the current decided index.
+
+        ``(session, seq)`` number messages, so they are assigned here. A
+        leader deposed since the append sends nothing: the entries stay an
+        undecided tail for the next round's Prepare phase to sort out.
+        The peer iteration order (set order) is part of the deterministic
+        behaviour and must not change.
+        """
+        if not self.is_leader or self._phase is not Phase.ACCEPT:
+            return
+        storage = self._storage
+        log_len = storage.log_len()
         decided_idx = storage.get_decided_idx()
-        batch = tuple(entries)
         round_ = self._current_round
+        sent_idx = self._sent_idx
         accept_seq = self._accept_seq
         session_of = self._accept_session.get
         outbox = self._outbox
+        # Followers at the same (sent index, session, seq) -- all of them,
+        # in steady state -- get the same object, which the runtime's
+        # frame encoder then serializes once.
+        key = msg = None
         for pid in self._synced_peers:
+            sent = sent_idx[pid]
+            if sent >= log_len:
+                continue
+            sent_idx[pid] = log_len
             seq = accept_seq.get(pid, 0) + 1
             accept_seq[pid] = seq
-            outbox.append((pid, AcceptDecide(
-                n=round_,
-                entries=batch,
-                decided_idx=decided_idx,
-                seq=seq,
-                session=session_of(pid, 1),
-            )))
-        self._maybe_decide(log_len)
+            session = session_of(pid, 1)
+            if key != (sent, session, seq):
+                key = (sent, session, seq)
+                msg = AcceptDecide(
+                    n=round_,
+                    entries=storage.get_entries(sent, log_len),
+                    decided_idx=decided_idx,
+                    seq=seq,
+                    session=session,
+                )
+            outbox.append((pid, msg))
 
     def _on_accepted(self, src: int, msg: Accepted) -> None:
         if not self.is_leader or msg.n != self._current_round:

@@ -115,10 +115,6 @@ class OmniPaxosConfig:
     announce_period_ms: float = 500.0
     #: Seed a pre-elected leader so benchmarks start in steady state.
     initial_leader: Optional[int] = None
-    #: When set, proposals accumulate and flush as one replication batch
-    #: every this-many milliseconds (latency traded for per-message
-    #: overhead — the "batch" setting of real replication systems).
-    flush_interval_ms: Optional[float] = None
     storage_factory: Callable[[int], Storage] = _default_storage_factory
 
     @property
@@ -168,10 +164,12 @@ class OmniPaxosServer(Replica, Instrumented):
         self._announce_deadlines: Dict[int, float] = {}
         self._announce_msg: Optional[NewConfiguration] = None
         self._transition_buffer: List[Any] = []
-        #: Proposals awaiting the next flush (flush_interval_ms batching).
-        self._flush_buffer: List[Any] = []
-        self._next_flush_at: Optional[float] = None
         self._outbox: List[Tuple[int, Envelope]] = []
+        #: Whether anything was proposed since the last hand-out: if so,
+        #: :meth:`take_outbox` has Sequence Paxos' messages to collect.
+        self._proposed = False
+        #: Tracing-only: the root context of the first such proposal.
+        self._proposed_trace: Optional[TraceContext] = None
         #: Tracing-only: the context to stamp on outgoing envelopes while
         #: handling one message/proposal (None outside tracing).
         self._active_trace: Optional[TraceContext] = None
@@ -331,7 +329,7 @@ class OmniPaxosServer(Replica, Instrumented):
         buffer."""
         sp = self.sp_of_current()
         return {
-            "server_outbox": len(self._outbox) + len(self._flush_buffer),
+            "server_outbox": len(self._outbox),
             "sp_outbox": sp.outbox_depth if sp is not None else 0,
             "sp_pending": sp.pending_proposals if sp is not None else 0,
         }
@@ -363,23 +361,7 @@ class OmniPaxosServer(Replica, Instrumented):
             self._migration.tick(now_ms)
             self._drain_migration(now_ms)
         self._tick_announcements(now_ms)
-        self._flush_proposals(now_ms)
         self._pump()
-
-    def _flush_proposals(self, now_ms: float) -> None:
-        """Drain the flush buffer as one replication batch when due."""
-        if self._next_flush_at is None or now_ms < self._next_flush_at:
-            return
-        self._next_flush_at = None
-        if not self._flush_buffer:
-            return
-        pending, self._flush_buffer = self._flush_buffer, []
-        inst = self._current_instance()
-        if inst is None or not inst.active or inst.sp.stopped():
-            self._transition_buffer.extend(pending)
-            self.stats.buffered_in_transition += len(pending)
-            return
-        inst.sp.propose_batch(pending)
 
     def on_message(self, src: int, msg: Any, now_ms: float) -> None:
         if self._crashed or not self._started:
@@ -435,21 +417,10 @@ class OmniPaxosServer(Replica, Instrumented):
             self._transition_buffer.append(entry)
             self.stats.buffered_in_transition += 1
             return
-        if self._config.flush_interval_ms is not None:
-            self._flush_buffer.append(entry)
-            if self._next_flush_at is None:
-                self._next_flush_at = now_ms + self._config.flush_interval_ms
-            return
-        if self._obs.tracing:
-            self._active_trace = self._root_trace(entry)
-        try:
-            inst.sp.propose(entry)
-            self._pump()
-        finally:
-            self._active_trace = None
+        self._propose_to(inst, [entry])
 
     def propose_batch(self, entries: List[Any], now_ms: float) -> None:
-        """Propose several entries in one replication message."""
+        """Propose several entries in one append."""
         if self._crashed or not self._started:
             raise NotLeaderError("server is down")
         self._now = now_ms
@@ -458,13 +429,20 @@ class OmniPaxosServer(Replica, Instrumented):
             for entry in entries:
                 self.propose(entry, now_ms)
             return
-        if self._obs.tracing and entries:
-            self._active_trace = self._root_trace(entries[0])
-        try:
-            inst.sp.propose_batch(entries)
+        if entries:
+            self._propose_to(inst, entries)
+
+    def _propose_to(self, inst: _Instance, entries: List[Any]) -> None:
+        """Hand ``entries`` to Sequence Paxos, which appends them (or
+        buffers or forwards) inside the call. The messages that carry
+        them are collected by :meth:`take_outbox`; only a decision — a
+        one-server cluster's — is applied here."""
+        if self._proposed_trace is None and self._obs.tracing:
+            self._proposed_trace = self._root_trace(entries[0])
+        self._proposed = True
+        inst.sp.propose_batch(entries)
+        if self._apply_decided(inst):
             self._pump()
-        finally:
-            self._active_trace = None
 
     def holds_read_lease(self, now_ms: float, safety: float = 0.8) -> bool:
         """Whether this leader may serve *local* linearizable reads.
@@ -516,6 +494,17 @@ class OmniPaxosServer(Replica, Instrumented):
         self._pump()
 
     def take_outbox(self) -> List[Tuple[int, Envelope]]:
+        if self._proposed:
+            # Sequence Paxos builds the messages for everything proposed
+            # since the last hand-out now, one per follower; they carry
+            # the first proposal's trace.
+            self._proposed = False
+            self._active_trace, self._proposed_trace = (
+                self._proposed_trace, None)
+            for cid, inst in self._instances.items():
+                for dst, msg in inst.sp.take_outbox():
+                    self._post(dst, Envelope(cid, COMPONENT_SP, msg))
+            self._active_trace = None
         if self._outbox:
             self._sync_storage()
         out, self._outbox = self._outbox, []
@@ -580,6 +569,8 @@ class OmniPaxosServer(Replica, Instrumented):
         """
         self._crashed = True
         self._outbox = []
+        self._proposed = False
+        self._proposed_trace = None
 
     def recover(self, now_ms: float) -> None:
         """Restart after a crash: rebuild volatile protocol state.
@@ -752,15 +743,22 @@ class OmniPaxosServer(Replica, Instrumented):
                         self._post(dst, Envelope(cid, COMPONENT_BLE, msg))
                 for dst, msg in inst.sp.take_outbox():
                     self._post(dst, Envelope(cid, COMPONENT_SP, msg))
-                for local_idx, entry in inst.sp.take_decided():
+                if self._apply_decided(inst):
                     progressed = True
-                    global_idx = inst.global_offset + local_idx
-                    if global_idx == len(self._global_log):
-                        self._global_log.append(entry)
-                        self._decided_out.append((global_idx, entry))
-                        if is_stopsign(entry) and inst.active:
-                            self._handle_stopsign(entry)
-                    # else: already obtained via migration; nothing to do.
+
+    def _apply_decided(self, inst: _Instance) -> bool:
+        """Move what ``inst`` newly decided into the replicated log;
+        returns whether there was anything."""
+        decided = inst.sp.take_decided()
+        for local_idx, entry in decided:
+            global_idx = inst.global_offset + local_idx
+            if global_idx == len(self._global_log):
+                self._global_log.append(entry)
+                self._decided_out.append((global_idx, entry))
+                if is_stopsign(entry) and inst.active:
+                    self._handle_stopsign(entry)
+            # else: already obtained via migration; nothing to do.
+        return bool(decided)
 
     # ------------------------------------------------------------------
     # internals: reconfiguration (service layer)

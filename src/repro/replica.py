@@ -13,6 +13,14 @@ The contract is sans-io and pull-based:
   ``(dst, message)`` pairs subject to the network model,
 - decided entries are drained with :meth:`take_decided` as
   ``(global_index, entry)`` pairs.
+
+A replica may defer *building* messages until :meth:`take_outbox`: a
+proposal is accepted, appended or refused inside :meth:`propose`, but it
+is on the wire only after the next hand-out. Omni-Paxos, VR and Raft
+leaders replicate this way — one ``AcceptDecide`` / ``AppendEntries`` per
+follower for everything proposed since the last hand-out — so a driver
+that hands out less often gets fewer, larger messages, and one that hands
+out after every call (the simulator) gets one message per proposal.
 """
 
 from __future__ import annotations
@@ -68,15 +76,16 @@ class Replica(ABC):
     def propose_batch(self, entries: List[Any], now_ms: float) -> None:
         """Submit several entries at once.
 
-        Protocols override this to replicate the batch in a single message;
-        the default just loops over :meth:`propose`.
+        Protocols override this to append the batch in one step; the
+        default just loops over :meth:`propose`.
         """
         for entry in entries:
             self.propose(entry, now_ms)
 
     @abstractmethod
     def take_outbox(self) -> List[Tuple[int, Any]]:
-        """Drain pending outgoing ``(dst, message)`` pairs."""
+        """Drain pending outgoing ``(dst, message)`` pairs, building the
+        ones that replicate what was proposed since the last call."""
 
     @abstractmethod
     def take_decided(self) -> List[Tuple[int, Any]]:

@@ -22,7 +22,9 @@ in :meth:`RuntimeNode._drain`: once after each socket read's batch of
 messages, and once per event-loop iteration for whatever proposals, ticks
 and restored sessions that iteration handled. The replica syncs its
 storage before handing anything to the drain, so all the records one
-socket read or one client burst produced share one fsync.
+socket read or one client burst produced share one fsync — and it builds
+its replication messages at that hand-out, so the proposals of one
+iteration share one ``AcceptDecide`` / ``AppendEntries`` per follower.
 
 With an enabled registry the node also keeps an always-on
 :class:`~repro.obs.flight.FlightRecorder`; if the tick loop dies with an
@@ -171,7 +173,10 @@ class RuntimeNode:
     def propose(self, entry: Any) -> None:
         """Propose a client entry at this server. An entry the wire
         cannot carry raises :class:`TransportError` here, not after the
-        leader has appended an entry it can never replicate."""
+        leader has appended an entry it can never replicate. The replica
+        appends (or refuses) inside this call; the entry is on the wire
+        after the next :meth:`_drain`, in one message per follower with
+        everything else proposed this event-loop iteration."""
         check_encodable(entry)
         self._step(self._replica.propose, entry)
 
@@ -296,8 +301,9 @@ class RuntimeNode:
         tick, a restored session). ``take_outbox`` / ``take_decided`` sit
         behind the replica's durability barrier, so however many calls fed
         this drain there is one storage sync, and it precedes the first
-        ``mesh.send``. A handler that proposes schedules the next drain
-        itself.
+        ``mesh.send``; ``take_outbox`` is also where the replica turns the
+        proposals since the last drain into one message per follower. A
+        handler that proposes schedules the next drain itself.
         """
         if self._drain_handle is not None:
             # Everything queued so far leaves now; a drain still scheduled

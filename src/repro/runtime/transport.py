@@ -17,11 +17,13 @@ with TCP_NODELAY (the
 asyncio default) per-message writes are per-packet and per-reader-wakeup,
 so batching them is the dominant wall-clock win. Staged bytes above
 ``coalesce_bytes`` flush immediately; ``RuntimeNode`` also calls
-:meth:`flush` at the end of each of its drains. Writes are bounded: when a peer's
-asyncio write buffer plus staged bytes exceed ``max_write_buffer_bytes``
-the message is dropped and counted under
+:meth:`flush` at the end of each of its drains. Writes are bounded: a message that
+would take a peer's asyncio write buffer plus staged bytes above
+``max_write_buffer_bytes`` is dropped and counted under
 ``repro_messages_dropped_total{reason="backpressure"}`` — the semantics
-of a partitioned link, which every protocol already tolerates. Inbound,
+of a partitioned link, which every protocol already tolerates — unless
+nothing is queued toward that peer (one frame, however large, always
+gets through an idle link). Inbound,
 a connection whose bytes do not frame (``reason="corrupt_frame"``) or
 whose decoded payload makes the owner's handler raise
 (``reason="rejected"``) is counted and closed; the node keeps running.
@@ -50,9 +52,10 @@ SessionHandler = Callable[[int], None]
 #: (roughly two TCP segments' worth of frames per syscall at the default).
 DEFAULT_COALESCE_BYTES = 32 * 1024
 
-#: Per-peer high-water mark: staged + asyncio-buffered bytes above this
-#: drop the message instead of queueing unboundedly toward a
-#: dead-but-undetected peer.
+#: Per-peer high-water mark: a message that would take staged +
+#: asyncio-buffered bytes above this is dropped instead of queueing
+#: unboundedly toward a dead-but-undetected peer. A message with nothing
+#: queued ahead of it is always admitted (``MAX_FRAME_BYTES`` bounds it).
 DEFAULT_MAX_WRITE_BUFFER_BYTES = 4 * 1024 * 1024
 
 
@@ -194,8 +197,9 @@ class TcpMesh(Instrumented):
             await self._server.wait_closed()
 
     def send(self, dst: int, payload: Any) -> None:
-        """Best-effort send; messages to unconnected peers are dropped
-        (exactly like messages over a partitioned link).
+        """Best-effort send; messages to unconnected peers, or behind a
+        write buffer already at its high-water mark, are dropped (exactly
+        like messages over a partitioned link).
 
         The frame is *staged*, not written: a flush scheduled on the
         current event-loop iteration (or an earlier size-threshold /
@@ -225,13 +229,16 @@ class TcpMesh(Instrumented):
             staged = self._staged[dst] = bytearray()
             self._staged_frames[dst] = 0
         transport = writer.transport
-        buffered = (transport.get_write_buffer_size()
-                    if transport is not None else 0)
-        if buffered + len(staged) + len(frame) > self._max_write_buffer:
+        queued = len(staged) + (transport.get_write_buffer_size()
+                                if transport is not None else 0)
+        if queued and queued + len(frame) > self._max_write_buffer:
             # High-water mark: the peer is not draining (dead link the TCP
             # stack has not yet detected, or a genuinely slow consumer).
             # Dropping here is indistinguishable from a partition, which
-            # the protocols already recover from.
+            # the protocols already recover from. A frame with nothing
+            # queued ahead of it is not evidence of either, and is sent
+            # whatever its size: dropped, its resend would be dropped the
+            # same way, and a follower that far behind would never resync.
             self._obs.counter("repro_messages_dropped_total", src=self._pid,
                               reason="backpressure").inc()
             return

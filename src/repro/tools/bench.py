@@ -6,7 +6,7 @@ Subcommands::
                          [--out counters.json] [--write-baseline]
     repro-bench verify   [--seed 0]                # determinism double-run
 
-Both run the same fixed-size suite (:mod:`repro.bench`): five micro
+Both run the same fixed-size suite (:mod:`repro.bench`): six micro
 benches, all five sim protocols and both runtime protocols over live TCP.
 ``smoke`` is the CI entry point: it diffs every deterministic counter
 (event/message/decided counts, decided-log digests) against the committed

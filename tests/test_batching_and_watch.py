@@ -1,92 +1,8 @@
-"""Tests for server-side flush batching and KV watches."""
-
-import pytest
+"""Tests for KV watches."""
 
 from repro.kv.store import KVCommand, ReplicatedKVStore
-from repro.omni.entry import Command
-from repro.omni.server import ClusterConfig, OmniPaxosConfig, OmniPaxosServer
-from repro.sim.cluster import SimCluster
-from repro.sim.events import EventQueue
-from repro.sim.network import NetworkParams, SimNetwork
 
 from tests.conftest import build_omni_cluster, run_until_leader
-
-
-def cmd(i: int) -> Command:
-    return Command(data=b"x", client_id=1, seq=i)
-
-
-def build_batching_cluster(flush_ms=20.0):
-    cc = ClusterConfig(0, (1, 2, 3))
-    queue = EventQueue()
-    net = SimNetwork(queue, NetworkParams(one_way_ms=0.1))
-    servers = {
-        pid: OmniPaxosServer(OmniPaxosConfig(
-            pid=pid, cluster=cc, hb_period_ms=50.0,
-            initial_leader=1, flush_interval_ms=flush_ms))
-        for pid in cc.servers
-    }
-    sim = SimCluster(servers, net, queue, tick_ms=5.0)
-    sim.start()
-    sim.run_for(100)
-    return sim, servers
-
-
-class TestFlushBatching:
-    def test_proposals_coalesce_into_one_message(self):
-        sim, servers = build_batching_cluster(flush_ms=20.0)
-        before = sim.network.messages_sent
-        for i in range(50):
-            sim.propose(1, cmd(i))
-        # Nothing sent yet: the batch waits for the flush tick.
-        mid = sim.network.messages_sent
-        sim.run_for(100)
-        assert all(s.global_log_len == 50 for s in servers.values())
-        # 50 proposals cost far fewer messages than unbatched (which would
-        # send 2 AcceptDecide per proposal = 100).
-        accept_traffic = sim.network.messages_sent - mid
-        assert accept_traffic < 60
-
-    def test_batching_adds_bounded_latency(self):
-        sim, servers = build_batching_cluster(flush_ms=20.0)
-        sim.propose(1, cmd(0))
-        sim.run_for(10)
-        assert servers[2].global_log_len == 0  # still buffered
-        sim.run_for(50)
-        assert servers[2].global_log_len == 1  # flushed within interval
-
-    def test_unbatched_by_default(self):
-        sim, servers = build_omni_cluster(3, initial_leader=1)
-        sim.run_for(100)
-        sim.propose(1, cmd(0))
-        sim.run_for(5)
-        assert servers[1].global_log_len in (0, 1)
-        sim.run_for(20)
-        assert servers[1].global_log_len == 1
-
-    def test_flush_during_reconfig_rebuffers(self):
-        cc = ClusterConfig(0, (1, 2, 3))
-        queue = EventQueue()
-        net = SimNetwork(queue, NetworkParams(one_way_ms=0.1))
-        servers = {
-            pid: OmniPaxosServer(OmniPaxosConfig(
-                pid=pid, cluster=cc, hb_period_ms=50.0,
-                initial_leader=1, flush_interval_ms=20.0))
-            for pid in (1, 2, 3)
-        }
-        servers[4] = OmniPaxosServer(OmniPaxosConfig(
-            pid=4, cluster=cc, hb_period_ms=50.0))
-        sim = SimCluster(servers, net, queue, tick_ms=5.0)
-        sim.start()
-        sim.run_for(100)
-        sim.reconfigure(1, (1, 2, 3, 4))
-        for i in range(5):
-            sim.propose(1, cmd(i))
-        sim.run_for(3_000)
-        leaders = sim.leaders()
-        assert leaders
-        # stop-sign + the 5 buffered-and-reflushed commands
-        assert servers[leaders[0]].global_log_len == 6
 
 
 class TestKVWatch:

@@ -115,7 +115,7 @@ class TestGateCli:
 
     def test_committed_baseline_matches(self, capsys):
         assert main(["smoke", "--baseline", str(BASELINE)]) == 0
-        assert "baseline OK: 12 benches" in capsys.readouterr().out
+        assert "baseline OK: 13 benches" in capsys.readouterr().out
 
     def test_altered_digest_fails_and_names_the_bench(self, tmp_path, capsys):
         doc = json.loads(BASELINE.read_text())

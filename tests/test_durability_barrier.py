@@ -22,6 +22,7 @@ from repro.chaos.checker import DecidedLogChecker, command_validator
 from repro.obs.registry import MetricsRegistry
 from repro.omni.entry import Command
 from repro.omni.faults import FaultyStorage
+from repro.omni.messages import AcceptDecide
 from repro.omni.server import ClusterConfig, OmniPaxosConfig, OmniPaxosServer
 from repro.omni.storage import FileStorage, InMemoryStorage
 from repro.runtime import RuntimeNode
@@ -156,7 +157,8 @@ class CountingStorage(InMemoryStorage):
 
 def test_one_loop_turn_of_proposals_costs_the_leader_one_sync():
     """N proposals issued without yielding to the loop leave in one drain:
-    one ``sync()``, and it comes before the first ``mesh.send``."""
+    one ``sync()``, it comes before the first ``mesh.send``, and each
+    follower is sent one ``AcceptDecide`` with all N entries."""
     proposals = 16
 
     async def scenario():
@@ -177,8 +179,15 @@ def test_one_loop_turn_of_proposals_costs_the_leader_one_sync():
                 tick_ms=5.0, on_decided=lambda idx, entry: None)
         leader = nodes[1]
         real_send, real_drain = leader._mesh.send, leader._drain
-        leader._mesh.send = lambda dst, msg: (
-            journal.append("send"), real_send(dst, msg))
+
+        def send(dst, msg):
+            if isinstance(msg.payload, AcceptDecide):
+                journal.append(("replicate", dst, len(msg.payload.entries)))
+            else:
+                journal.append("send")  # a heartbeat may share the cycle
+            real_send(dst, msg)
+
+        leader._mesh.send = send
         leader._drain = lambda: (journal.append("drain"), real_drain())
         leader._mesh._on_batch_end = leader._drain  # bound at construction
         for node in nodes.values():
@@ -203,8 +212,11 @@ def test_one_loop_turn_of_proposals_costs_the_leader_one_sync():
     first = journal[1:journal.index("drain", 1)]
     assert journal[0] == "drain"
     assert first.count("sync") == 1 and first[0] == "sync"
-    # Every proposal's AcceptDecide went to both followers in that cycle.
-    assert first.count("send") >= 2 * proposals
+    # The whole burst cost two messages, both in that cycle.
+    replicated = [e for e in journal if e[0] == "replicate"]
+    assert sorted(replicated) == [("replicate", 2, proposals),
+                                  ("replicate", 3, proposals)]
+    assert all(e in first for e in replicated)
 
 
 @pytest.mark.parametrize("observed", [True, False])

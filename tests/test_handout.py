@@ -1,0 +1,154 @@
+"""Replication happens at the hand-out, not inside ``propose()``.
+
+``propose()`` appends (and refuses, clips at a stop-sign, decides on a
+one-server cluster); the messages that replicate what was appended are
+built by the next ``take_outbox()``: one ``AcceptDecide`` (Raft: one
+``AppendEntries``) per follower, however many proposals came in between.
+"""
+
+from repro.baselines.raft import AppendEntries, RaftConfig, RaftReplica
+from repro.omni.ballot import Ballot
+from repro.omni.entry import StopSign
+from repro.omni.messages import AcceptDecide, AcceptSync, Promise
+from repro.omni.sequence_paxos import Phase
+from repro.omni.server import ClusterConfig, OmniPaxosConfig, OmniPaxosServer
+from repro.omni.storage import InMemoryStorage
+
+from tests.test_sequence_paxos import Shuttle, cmd, make_sp
+
+K = 5
+
+
+def accept_decides(outbox):
+    return [(dst, m) for dst, m in outbox if isinstance(m, AcceptDecide)]
+
+
+def led_trio():
+    """Three Sequence Paxos replicas, 1 leading in the Accept phase."""
+    nodes = {pid: make_sp(pid) for pid in (1, 2, 3)}
+    net = Shuttle(nodes)
+    net.elect(1)
+    assert nodes[1].phase is Phase.ACCEPT
+    return nodes, net
+
+
+class TestSequencePaxosHandout:
+    def test_k_proposals_leave_as_one_message_per_follower(self):
+        nodes, _ = led_trio()
+        leader = nodes[1]
+        for i in range(K):
+            leader.propose(cmd(i))
+        assert leader.log_len == K  # appended inside the call
+        out = leader.take_outbox()
+        sent = accept_decides(out)
+        assert len(out) == len(sent) == 2
+        assert {dst for dst, _ in sent} == {2, 3}
+        (_, to_a), (_, to_b) = sent
+        assert to_a is to_b  # one object: the runtime encodes it once
+        assert to_a.entries == tuple(cmd(i) for i in range(K))
+        assert (to_a.session, to_a.seq) == (1, 1)
+        assert leader.take_outbox() == []  # nothing is sent twice
+
+        leader.propose(cmd(K))
+        (_, nxt), _ = accept_decides(leader.take_outbox())
+        assert nxt.entries == (cmd(K),)
+        assert (nxt.session, nxt.seq) == (1, 2)  # one seq per message
+
+    def test_straggler_synced_before_the_handout_gets_entries_once(self):
+        nodes = {pid: make_sp(pid) for pid in (1, 2, 3)}
+        net = Shuttle(nodes)
+        net.cut(1, 3)
+        net.elect(1)
+        leader = nodes[1]
+        for i in range(K):
+            leader.propose(cmd(i))
+        # 3's Promise arrives between the proposals and the hand-out.
+        leader.on_message(3, Promise(
+            n=leader.current_round, acc_rnd=Ballot(0, 0, 0), suffix=(),
+            log_idx=0, decided_idx=0))
+        out = leader.take_outbox()
+        (sync,) = [m for dst, m in out if dst == 3]
+        assert isinstance(sync, AcceptSync)
+        assert sync.suffix == tuple(cmd(i) for i in range(K))
+        ((dst, batch),) = accept_decides(out)
+        assert dst == 2 and len(batch.entries) == K
+        # What 3 is sent next starts after its AcceptSync.
+        leader.propose(cmd(K))
+        later = dict(accept_decides(leader.take_outbox()))
+        assert later[3].entries == (cmd(K),)
+        assert (later[3].session, later[3].seq) == (sync.session, 1)
+
+    def test_deposed_before_the_handout_sends_nothing(self):
+        nodes, _ = led_trio()
+        leader = nodes[1]
+        for i in range(K):
+            leader.propose(cmd(i))
+        leader.handle_leader(Ballot(n=2, priority=0, pid=2))
+        assert not leader.is_leader
+        assert leader.take_outbox() == []
+        assert (leader.log_len, leader.decided_idx) == (K, 0)
+
+    def test_stopsign_is_the_last_entry_of_the_batch(self):
+        nodes, net = led_trio()
+        leader = nodes[1]
+        for i in range(K - 1):
+            leader.propose(cmd(i))
+        leader.propose_reconfiguration((1, 2, 4))
+        assert leader.stopped()  # before any message exists
+        (_, batch), _ = accept_decides(leader.take_outbox())
+        assert len(batch.entries) == K
+        assert isinstance(batch.entries[-1], StopSign)
+        nodes[2].on_message(1, batch)
+        net.deliver_all()
+        assert leader.stopsign_decided() == batch.entries[-1]
+
+
+def test_raft_k_proposals_leave_as_one_append_entries_per_follower():
+    leader = RaftReplica(RaftConfig(pid=1, voters=(1, 2, 3),
+                                    initial_leader=1))
+    leader.start(0.0)
+    leader.take_outbox()  # the first heartbeat
+    for i in range(K):
+        leader.propose(cmd(i), 1.0)
+    assert leader.log_len == K
+    out = leader.take_outbox()
+    assert [dst for dst, _ in out] == [2, 3]
+    for _, msg in out:
+        assert isinstance(msg, AppendEntries)
+        assert [slot.entry for slot in msg.entries] == \
+            [cmd(i) for i in range(K)]
+    assert leader.take_outbox() == []
+
+
+def test_server_crashed_before_the_handout_hands_out_nothing_unsynced():
+    syncs = []
+
+    class CountingStorage(InMemoryStorage):
+        def sync(self) -> int:
+            syncs.append(1)
+            return 0
+
+    cluster = ClusterConfig(0, (1, 2, 3))
+    servers = {pid: OmniPaxosServer(OmniPaxosConfig(
+        pid=pid, cluster=cluster, initial_leader=1,
+        storage_factory=lambda cid: CountingStorage()))
+        for pid in cluster.servers}
+    for server in servers.values():
+        server.start(0.0)
+    for _ in range(4):  # Prepare, Promise, AcceptSync, Accepted
+        for pid, server in servers.items():
+            for dst, env in server.take_outbox():
+                servers[dst].on_message(pid, env, 0.0)
+    leader = servers[1]
+    assert leader.sp_of_current().phase is Phase.ACCEPT
+
+    leader.propose(cmd(0), 1.0)
+    sent = leader.take_outbox()
+    assert len(accept_decides((d, e.payload) for d, e in sent)) == 2
+
+    for i in range(1, K):
+        leader.propose(cmd(i), 2.0)
+    del syncs[:]
+    leader.crash()
+    assert leader.take_outbox() == []
+    assert syncs == []

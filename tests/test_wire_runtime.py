@@ -126,6 +126,39 @@ class TestBackpressure:
 
         asyncio.run(scenario())
 
+    def test_frame_above_the_mark_crosses_an_idle_link(self):
+        """The mark bounds what queues behind a peer that is not reading,
+        not the size of one message: dropped on an idle link, a large
+        ``AcceptSync`` would be re-sent into the same drop forever."""
+        async def scenario():
+            reg = MetricsRegistry()
+            addrs = make_addrs([1, 2])
+            inbox = []
+            a = TcpMesh(1, addrs[1], {2: addrs[2]},
+                        on_message=lambda s, m: None,
+                        max_write_buffer_bytes=1024)
+            a.set_observability(reg)
+            b = TcpMesh(2, addrs[2], {1: addrs[1]},
+                        on_message=lambda s, m: inbox.append(m))
+            await a.start()
+            await b.start()
+            try:
+                await wait_for(lambda: 2 in a.connected_peers)
+                a.send(2, Command(data=bytes(4096), client_id=1, seq=0))
+                # Still staged behind the first: this one is backpressure.
+                a.send(2, Command(data=bytes(4096), client_id=1, seq=1))
+                await wait_for(lambda: inbox)
+                await asyncio.sleep(0.05)
+            finally:
+                await a.close()
+                await b.close()
+            return inbox, reg
+
+        inbox, reg = asyncio.run(scenario())
+        assert [(m.seq, len(m.data)) for m in inbox] == [(0, 4096)]
+        assert reg.counter_value("repro_messages_dropped_total",
+                                 src=1, reason="backpressure") == 1
+
     def test_below_mark_nothing_dropped(self):
         reg = MetricsRegistry()
         mesh = _mesh(obs=reg)
