@@ -27,6 +27,9 @@ gets through an idle link). Inbound,
 a connection whose bytes do not frame (``reason="corrupt_frame"``) or
 whose decoded payload makes the owner's handler raise
 (``reason="rejected"``) is counted and closed; the node keeps running.
+asyncio allocates 256 KiB for every socket read; importing this module
+makes the allocator serve that from its heap every time
+(:func:`_keep_read_buffers_on_the_heap`).
 """
 
 from __future__ import annotations
@@ -57,6 +60,36 @@ DEFAULT_COALESCE_BYTES = 32 * 1024
 #: unboundedly toward a dead-but-undetected peer. A message with nothing
 #: queued ahead of it is always admitted (``MAX_FRAME_BYTES`` bounds it).
 DEFAULT_MAX_WRITE_BUFFER_BYTES = 4 * 1024 * 1024
+
+#: What asyncio's selector transport asks ``recv`` for on every socket
+#: read (``_SelectorSocketTransport.max_size``), as a fresh ``bytes``.
+_ASYNCIO_READ_BYTES = 256 * 1024
+
+
+def _keep_read_buffers_on_the_heap() -> None:
+    """Make the 256 KiB ``bytes`` asyncio allocates for every socket read
+    cost the same all through the process's life.
+
+    glibc serves a request of 128 KiB or more that no free chunk of its
+    heap fits with ``mmap``, and asyncio shrinks the buffer to the bytes
+    read before freeing it: ``mmap``, two page faults, ``mremap`` and
+    ``munmap`` per read, about 15 us where the heap takes one. Whether a
+    chunk fits depends on everything else the process has allocated and
+    freed, so a node flips between the two for seconds at a time (a bare
+    echo loop: 18 k or 55 k round trips/s; a paced commit on loopback:
+    0.32 or 0.21 ms). The threshold is dynamic: it rises to the size of
+    any mmapped block that is freed whole, which a shrunk read buffer
+    never is. Freeing one larger block once therefore keeps every later
+    read buffer on the heap, where the same chunk is recycled. It is
+    process-wide (the allocator is) and does nothing under an allocator
+    without such a threshold.
+    """
+    bytes(4 * _ASYNCIO_READ_BYTES)
+
+
+# Once per process, before anything here reads a socket: the threshold
+# never falls again.
+_keep_read_buffers_on_the_heap()
 
 
 def decorrelated_jitter(rng: random.Random, base_s: float, prev_s: float,

@@ -2,7 +2,11 @@
 handling, unencodable entries, clean teardown and storage failure."""
 
 import asyncio
+import os
+import platform
 import socket
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -232,6 +236,74 @@ class TestCoalescing:
 
         inbox = asyncio.run(scenario())
         assert [m.seq for _, m in inbox] == list(range(200))
+
+
+#: A TcpMesh pair bouncing one small frame, in an interpreter of its own
+#: (the allocator's state is the process's): prints page faults per read.
+_PING_PONG = """
+import asyncio, resource, sys
+from repro.omni.entry import Command
+from repro.runtime import PeerAddress, TcpMesh
+
+WARM, READS = 50, 400
+
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+async def main(ports):
+    addrs = {p: PeerAddress(p, "127.0.0.1", port)
+             for p, port in zip((1, 2), ports)}
+    marks, seen, done = [], [0], asyncio.Event()
+
+    def at_a(src, msg):
+        seen[0] += 1
+        if seen[0] in (WARM, WARM + READS // 2):
+            marks.append(faults())
+        if len(marks) == 2:
+            done.set()
+        else:
+            a.send(2, msg)
+
+    a = TcpMesh(1, addrs[1], {2: addrs[2]}, on_message=at_a)
+    b = TcpMesh(2, addrs[2], {1: addrs[1]},
+                on_message=lambda src, msg: b.send(1, msg))
+    await a.start()
+    await b.start()
+    while a.connected_peers != (2,) or b.connected_peers != (1,):
+        await asyncio.sleep(0.01)
+    a.send(2, Command(data=b"x" * 16, client_id=1, seq=0))
+    await asyncio.wait_for(done.wait(), 30)
+    await a.close()
+    await b.close()
+    print((marks[1] - marks[0]) / READS)
+
+asyncio.run(main([int(p) for p in sys.argv[1:]]))
+"""
+
+
+class TestReadBuffers:
+    def test_the_read_size_is_asyncios(self):
+        from asyncio import selector_events
+        from repro.runtime.transport import _ASYNCIO_READ_BYTES
+        assert (selector_events._SelectorSocketTransport.max_size
+                == _ASYNCIO_READ_BYTES)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="glibc's mmap threshold")
+    def test_a_socket_read_takes_no_page_fault(self):
+        """asyncio allocates 256 KiB per read; left to glibc's default
+        threshold that is an mmap and two page faults per read whenever
+        the heap has no chunk that large free, as in a fresh process."""
+        import repro
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _PING_PONG, *map(str, free_ports(2))],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert float(out.stdout) < 0.5
 
 
 class TestCorruptFrames:
