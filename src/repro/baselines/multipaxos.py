@@ -629,7 +629,7 @@ class MultiPaxosReplica(Replica, Instrumented):
 
 
 #: Wire-crossing Multi-Paxos messages, registered with stable binary tags
-#: in `repro.runtime.codec` (drift guarded by the codec test suite).
+#: in `repro.encoding` (drift guarded by the codec test suite).
 WIRE_MESSAGES = (
     P1a,
     P1b,

@@ -1130,7 +1130,7 @@ class RaftReplica(Replica, Instrumented):
 
 
 #: Wire-crossing Raft messages, registered with stable binary tags in
-#: `repro.runtime.codec` (drift guarded by the codec test suite).
+#: `repro.encoding` (drift guarded by the codec test suite).
 WIRE_MESSAGES = (
     RequestVote,
     RequestVoteReply,

@@ -389,7 +389,7 @@ class VRReplica(Replica, Instrumented):
 
 
 #: Wire-crossing VR messages, registered with stable binary tags in
-#: `repro.runtime.codec` (drift guarded by the codec test suite).
+#: `repro.encoding` (drift guarded by the codec test suite).
 WIRE_MESSAGES = (
     StartViewChange,
     DoViewChange,

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.util.compat import SLOTTED, fast_frozen_pickle
+from repro.util.compat import SLOTTED
 
 
-@fast_frozen_pickle
 @dataclass(frozen=True, order=True, **SLOTTED)
 class Ballot:
     """A totally-ordered, unique round identifier.
@@ -53,7 +52,6 @@ class Ballot:
 BOTTOM = Ballot(0, 0, 0)
 
 
-@fast_frozen_pickle
 @dataclass(frozen=True, **SLOTTED)
 class QCBallot:
     """A ballot paired with the sender's quorum-connected flag.

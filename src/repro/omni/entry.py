@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.util.compat import SLOTTED, fast_frozen_pickle
+from repro.util.compat import SLOTTED
 from typing import Any, Optional, Tuple
 
 
-@fast_frozen_pickle
 @dataclass(frozen=True, **SLOTTED)
 class Command:
     """A client command to be applied to the replicated state machine.
@@ -34,7 +33,6 @@ class Command:
         return len(self.data) + 16
 
 
-@fast_frozen_pickle
 @dataclass(frozen=True, **SLOTTED)
 class StopSign:
     """The reconfiguration entry that ends a configuration.
@@ -55,7 +53,6 @@ class StopSign:
         return size
 
 
-@fast_frozen_pickle
 @dataclass(frozen=True, **SLOTTED)
 class SnapshotInstalled:
     """Marker surfaced in a replica's decided stream when a *snapshot*

@@ -19,7 +19,7 @@ from typing import Any, Optional, Tuple
 from repro.obs.spans import TraceContext
 from repro.omni.ballot import Ballot
 from repro.omni.entry import entry_wire_size
-from repro.util.compat import SLOTTED, fast_frozen_pickle
+from repro.util.compat import SLOTTED
 
 _HEADER = 24  # rough per-message framing overhead (type tag, src, dst, len)
 _BALLOT = 20  # three varints, conservatively
@@ -34,7 +34,6 @@ def entries_wire_size(entries: Tuple[Any, ...]) -> int:
 # Ballot Leader Election (paper section 5.2, Figure 4)
 # --------------------------------------------------------------------------
 
-@fast_frozen_pickle
 @dataclass(frozen=True, **SLOTTED)
 class HeartbeatRequest:
     """Start-of-round probe; ``round`` identifies the heartbeat round."""
@@ -45,7 +44,6 @@ class HeartbeatRequest:
         return _HEADER + 8
 
 
-@fast_frozen_pickle
 @dataclass(frozen=True, **SLOTTED)
 class HeartbeatReply:
     """Reply carrying the sender's ballot and quorum-connected flag."""
@@ -62,7 +60,6 @@ class HeartbeatReply:
 # Sequence Paxos (paper section 4, Figure 3)
 # --------------------------------------------------------------------------
 
-@fast_frozen_pickle
 @dataclass(frozen=True, **SLOTTED)
 class Prepare:
     """Leader -> follower: open round ``n`` and ask for a promise.
@@ -94,7 +91,6 @@ def _snapshot_wire_size(snapshot: Optional[Tuple[Any, int]]) -> int:
         return 72
 
 
-@fast_frozen_pickle
 @dataclass(frozen=True, **SLOTTED)
 class Promise:
     """Follower -> leader: promise round ``n``, with the leader's missing
@@ -116,7 +112,6 @@ class Promise:
                 + _snapshot_wire_size(self.snapshot))
 
 
-@fast_frozen_pickle
 @dataclass(frozen=True, **SLOTTED)
 class AcceptSync:
     """Leader -> follower: synchronize the follower's log.
@@ -144,7 +139,6 @@ class AcceptSync:
                 + _snapshot_wire_size(self.snapshot))
 
 
-@fast_frozen_pickle
 @dataclass(frozen=True, **SLOTTED)
 class AcceptDecide:
     """Leader -> follower: replicate ``entries`` (FIFO pipelined) and
@@ -169,7 +163,6 @@ class AcceptDecide:
         return _HEADER + _BALLOT + 16 + entries_wire_size(self.entries)
 
 
-@fast_frozen_pickle
 @dataclass(frozen=True, **SLOTTED)
 class Accepted:
     """Follower -> leader: the follower's log is accepted up to ``log_idx``
@@ -184,7 +177,6 @@ class Accepted:
         return _HEADER + _BALLOT + 16
 
 
-@fast_frozen_pickle
 @dataclass(frozen=True, **SLOTTED)
 class Trim:
     """Leader -> follower: every server has decided past ``trimmed_idx``;
@@ -197,7 +189,6 @@ class Trim:
         return _HEADER + _BALLOT + 8
 
 
-@fast_frozen_pickle
 @dataclass(frozen=True, **SLOTTED)
 class Decide:
     """Leader -> follower: entries up to ``decided_idx`` are decided."""
@@ -209,7 +200,6 @@ class Decide:
         return _HEADER + _BALLOT + 8
 
 
-@fast_frozen_pickle
 @dataclass(frozen=True, **SLOTTED)
 class PrepareReq:
     """Recovering server / re-established session -> peers: ask the current
@@ -220,7 +210,6 @@ class PrepareReq:
         return _HEADER
 
 
-@fast_frozen_pickle
 @dataclass(frozen=True, **SLOTTED)
 class ProposalForward:
     """Follower -> leader: forward client proposals to the leader."""
@@ -235,7 +224,6 @@ class ProposalForward:
 # Service layer: reconfiguration and log migration (paper section 6)
 # --------------------------------------------------------------------------
 
-@fast_frozen_pickle
 @dataclass(frozen=True, **SLOTTED)
 class NewConfiguration:
     """Continuing server -> new server: announce configuration
@@ -255,7 +243,6 @@ class NewConfiguration:
         return size
 
 
-@fast_frozen_pickle
 @dataclass(frozen=True, **SLOTTED)
 class JoinComplete:
     """Server -> everyone in the new configuration: the sender has started
@@ -268,7 +255,6 @@ class JoinComplete:
         return _HEADER + 8
 
 
-@fast_frozen_pickle
 @dataclass(frozen=True, **SLOTTED)
 class LogPullRequest:
     """Joining server -> donor: request decided entries
@@ -282,7 +268,6 @@ class LogPullRequest:
         return _HEADER + 24
 
 
-@fast_frozen_pickle
 @dataclass(frozen=True, **SLOTTED)
 class LogSegment:
     """Donor -> joining server: a contiguous slice of decided entries.
@@ -335,8 +320,8 @@ class Envelope:
 
 
 #: Every wire-crossing message type this module defines, in definition
-#: order. The runtime codec registers a stable binary tag for each
-#: (`repro.runtime.codec`), and the codec test suite asserts this tuple
+#: order. The schema table registers a stable binary tag for each
+#: (`repro.encoding`), and the codec test suite asserts this tuple
 #: and the registry never drift apart.
 WIRE_MESSAGES = (
     HeartbeatRequest,

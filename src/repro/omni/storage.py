@@ -9,10 +9,12 @@ storage is recoverable" (section 3). A replica persists four things:
 - ``decided_idx`` — the length of the decided prefix.
 
 :class:`InMemoryStorage` is used by the simulator (crash-recovery tests keep
-the storage object across a simulated crash). :class:`FileStorage` is a real
-write-ahead implementation: an append-only file of checksummed records,
-replayed on open, for use with the asyncio runtime and the
-failure-injection tests.
+the storage object across a simulated crash) and is the one place a
+mutation of that state is written. :class:`FileStorage` is the same view
+plus a write-ahead journal of the mutator calls that made it — checksummed
+records in the value encoding of the wire (:mod:`repro.encoding`) — and
+replay is those calls again, through the same code; for use with the
+asyncio runtime and the failure-injection tests.
 
 Durability is a *batch boundary*, not a per-record cost. Mutators change
 the in-memory view (and, in :class:`FileStorage`, stage a record);
@@ -27,11 +29,10 @@ from __future__ import annotations
 
 import contextlib
 import os
-import pickle
 import struct
 import zlib
 from abc import ABC, abstractmethod
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.omni.ballot import Ballot, BOTTOM
@@ -43,9 +44,17 @@ _REC_ACC_RND = 3
 _REC_DECIDED = 4
 _REC_COMPACT = 5
 _REC_SNAPSHOT = 6
+_REC_RESET = 7
 
 #: Record header: body length, CRC-32 of the body.
 _HEAD = struct.Struct(">II")
+
+#: What every WAL starts with: a magic and the format version. Version 1
+#: is the unmarked format of PR 12 (same framing, bodies in Python's own
+#: object serialization); there is no reader for it.
+_MAGIC = b"OMNIWAL"
+_VERSION = 2
+_PREFIX = _MAGIC + bytes((_VERSION,))
 
 
 class Storage(ABC):
@@ -265,6 +274,22 @@ class InMemoryStorage(Storage):
         return self._decided_idx
 
 
+#: The journal's schema: record tag -> the :class:`InMemoryStorage`
+#: mutator a record of that tag stands for — called when the record is
+#: staged and again when it is replayed — and the classes of its
+#: arguments. Tags are file format: append, never renumber.
+_RECORDS: Dict[int, Tuple[Callable[..., Any], Tuple[type, ...]]] = {
+    _REC_APPEND: (InMemoryStorage.append_entries, (tuple,)),
+    _REC_TRUNCATE: (InMemoryStorage.truncate_suffix, (int,)),
+    _REC_PROMISE: (InMemoryStorage.set_promise, (Ballot,)),
+    _REC_ACC_RND: (InMemoryStorage.set_accepted_round, (Ballot,)),
+    _REC_DECIDED: (InMemoryStorage.set_decided_idx, (int,)),
+    _REC_COMPACT: (InMemoryStorage.compact_prefix, (int,)),
+    _REC_SNAPSHOT: (InMemoryStorage.set_snapshot, (object, int)),
+    _REC_RESET: (InMemoryStorage._reset_log_to, (int,)),
+}
+
+
 def _record_end(data: memoryview, start: int) -> Optional[int]:
     """The offset just past the record at ``start`` when it is whole and
     its checksum verifies, else ``None``."""
@@ -280,40 +305,58 @@ def _record_end(data: memoryview, start: int) -> Optional[int]:
     return end
 
 
-class FileStorage(Storage):
-    """Append-only write-ahead storage backed by a single record file.
+class FileStorage(InMemoryStorage):
+    """:class:`InMemoryStorage` plus a journal of the mutator calls that
+    made it: an append-only file, replayed on open.
 
-    A record is ``[u32 length][u32 crc32][body]``, the body a pickle of
-    ``(tag, payload)``. On open the file is replayed to rebuild the
-    in-memory view, which serves every read. A mutator updates the view
-    and stages its record in memory; :meth:`sync` appends everything
-    staged with one ``write`` and, with ``sync=True``, one ``fsync`` — so
-    a mutation is durable once the next :meth:`sync` (or :meth:`close`)
-    has returned, not before.
+    The file is :data:`_PREFIX` (a magic and the format version), then
+    records ``[u32 length][u32 crc32][body]``; a body is one record tag
+    and the call's argument tuple in the tagged value encoding of
+    :mod:`repro.encoding`, written and parsed by the two functions that
+    write and parse a frame's payload. Every read is inherited. A mutator
+    is the inherited one plus one staged record (:meth:`_journal`), and
+    replay feeds each decoded record to the same inherited mutator, its
+    guards included. :meth:`sync` appends everything staged with one
+    ``write`` and, with ``sync=True``, one ``fsync`` — so a mutation is
+    durable once the next :meth:`sync` (or :meth:`close`) has returned,
+    not before.
 
-    Replay stops at a record that is short or fails its checksum. If no
-    valid record follows, it is the tail a crash tore: it is cut off the
-    file, so later records are never written behind garbage. If a valid
-    record does follow, the damage is in the middle of the log and opening
-    raises :class:`~repro.errors.StorageError` naming the byte offset.
+    A value the encoding has no schema for raises
+    :class:`~repro.errors.TransportError` at the mutator call, as
+    ``RuntimeNode.propose`` does: the caller's mistake, not a dead disk,
+    so not a ``StorageError``. A call that raises, for that or for a
+    refused index, leaves the view and the staged bytes as they were.
+
+    Opening raises :class:`~repro.errors.StorageError`, and leaves the
+    file alone, for a file that does not start with the prefix (another
+    format version, or no WAL at all — a strict prefix of it is the torn
+    first write and opens empty) and for a record whose checksum verifies
+    but which does not decode or apply. Replay stops at a record that is
+    short or fails its checksum. If no valid record follows, it is the
+    tail a crash tore: it is cut off the file, so later records are never
+    written behind garbage. If a valid record does follow, the damage is
+    in the middle of the log and opening raises ``StorageError``. Both
+    errors name the byte offset.
     """
 
     def __init__(self, path: str, sync: bool = False) -> None:
+        super().__init__()
+        # The schema table imports every protocol and the protocols
+        # import this module: resolved here, not at import time.
+        from repro.encoding import read_value, write_value
+        self._write_value = write_value
         self._path = path
         self._sync = sync
-        self._log: List[Any] = []
-        self._compacted = 0
-        self._snapshot: Optional[Tuple[Any, int]] = None
-        self._promise: Ballot = BOTTOM
-        self._acc_rnd: Ballot = BOTTOM
-        self._decided_idx: int = 0
         #: Framed records staged since the last sync, and how many.
         self._pending = bytearray()
         self._pending_records = 0
         #: Length of the file's durable, verified prefix.
-        self._size = self._replay()
-        # Unbuffered: sync() is then exactly one write system call.
-        self._file = open(path, "ab", buffering=0)
+        self._size = self._replay(read_value)
+        try:
+            # Unbuffered: sync() is then exactly one write system call.
+            self._file = open(path, "ab", buffering=0)
+        except OSError as exc:
+            raise StorageError(f"cannot open {path}: {exc}") from exc
         try:
             self._file.truncate(self._size)
         except OSError as exc:
@@ -322,17 +365,29 @@ class FileStorage(Storage):
 
     # -- record plumbing ---------------------------------------------------
 
-    def _replay(self) -> int:
+    def _replay(self, read_value: Callable[[bytes, int], Tuple[Any, int]]
+                ) -> int:
         """Rebuild the view from the file; returns the offset just past
         the last good record."""
         if not os.path.exists(self._path):
             return 0
         try:
             with open(self._path, "rb") as handle:
-                data = memoryview(handle.read())
+                raw = handle.read()
         except OSError as exc:
             raise StorageError(f"cannot read {self._path}: {exc}") from exc
-        start = 0
+        head = raw[:len(_PREFIX)]
+        if head != _PREFIX:
+            if _PREFIX.startswith(head):
+                return 0  # the first write was torn (or never made)
+            found = (f"version {head[len(_MAGIC)]}"
+                     if head.startswith(_MAGIC) else
+                     "no version mark (an earlier format, or not a WAL)")
+            raise StorageError(
+                f"{self._path}: unsupported WAL format: found {found}, "
+                f"expected version {_VERSION}; the file is left untouched")
+        data = memoryview(raw)
+        start = len(_PREFIX)
         while start < len(data):
             end = _record_end(data, start)
             if end is None:
@@ -342,40 +397,40 @@ class FileStorage(Storage):
                             f"{self._path}: corrupt record at byte offset "
                             f"{start} (a valid record follows at {probe})")
                 break  # a torn tail: nothing after it was ever synced
-            tag, payload = pickle.loads(data[start + _HEAD.size:end])
-            self._apply_record(tag, payload)
+            # The checksum says these are the bytes that were written, not
+            # that this program wrote them: decode and apply strictly.
+            body = raw[start + _HEAD.size:end]
+            try:
+                if body[0] not in _RECORDS:
+                    raise ValueError(f"unknown record tag {body[0]}")
+                mutator, classes = _RECORDS[body[0]]
+                args, pos = read_value(body, 1)
+                if pos != len(body):
+                    raise ValueError(f"{len(body) - pos} trailing bytes")
+                if (args.__class__ is not tuple
+                        or len(args) != len(classes)
+                        or not all(map(isinstance, args, classes))):
+                    raise TypeError(
+                        f"not the arguments of {mutator.__name__}")
+                mutator(self, *args)
+            except Exception as exc:
+                raise StorageError(
+                    f"{self._path}: undecodable record at byte offset "
+                    f"{start}: {exc!r}") from exc
             start = end
         return start
 
-    def _apply_record(self, tag: int, payload: Any) -> None:
-        if tag == _REC_APPEND:
-            self._log.extend(payload)
-        elif tag == _REC_TRUNCATE:
-            del self._log[max(payload - self._compacted, 0):]
-        elif tag == _REC_COMPACT:
-            del self._log[:payload - self._compacted]
-            self._compacted = payload
-        elif tag == _REC_SNAPSHOT:
-            state, covers, reset = payload
-            self._snapshot = (state, covers)
-            if reset:
-                self._log = []
-                self._compacted = covers
-                self._decided_idx = max(self._decided_idx, covers)
-        elif tag == _REC_PROMISE:
-            self._promise = payload
-        elif tag == _REC_ACC_RND:
-            self._acc_rnd = payload
-        elif tag == _REC_DECIDED:
-            self._decided_idx = payload
-        else:
-            raise StorageError(f"unknown record tag {tag}")
-
-    def _write_record(self, tag: int, payload: Any) -> None:
-        body = pickle.dumps((tag, payload), protocol=pickle.HIGHEST_PROTOCOL)
+    def _journal(self, tag: int, *args: Any) -> Any:
+        """One mutation: the inherited mutator, then its staged record."""
+        body = bytearray((tag,))
+        self._write_value(body, args)  # unencodable: nothing has changed
+        result = _RECORDS[tag][0](self, *args)  # refused: nothing staged
+        if not (self._size or self._pending):
+            self._pending += _PREFIX  # travels in the first sync's write
         self._pending += _HEAD.pack(len(body), zlib.crc32(body))
         self._pending += body
         self._pending_records += 1
+        return result
 
     def sync(self) -> int:
         """Make every staged record durable; returns how many there were."""
@@ -405,92 +460,34 @@ class FileStorage(Storage):
         finally:
             self._file.close()
 
-    # -- Storage API ---------------------------------------------------------
+    # -- Storage API: the mutators ---------------------------------------------
 
     def append_entry(self, entry: Any) -> int:
-        return self.append_entries([entry])
+        return self._journal(_REC_APPEND, (entry,))
 
     def append_entries(self, entries: Sequence[Any]) -> int:
-        entries = list(entries)
-        self._write_record(_REC_APPEND, entries)
-        self._log.extend(entries)
-        return self.log_len()
+        return self._journal(_REC_APPEND, tuple(entries))
 
     def truncate_suffix(self, from_idx: int) -> None:
-        if from_idx < self._decided_idx:
-            raise StorageError(
-                f"refusing to truncate decided entries: {from_idx} < {self._decided_idx}"
-            )
-        self._write_record(_REC_TRUNCATE, from_idx)
-        del self._log[max(from_idx - self._compacted, 0):]
-
-    def get_entries(self, from_idx: int, to_idx: int) -> Tuple[Any, ...]:
-        from_idx = max(0, from_idx)
-        if from_idx < self._compacted and from_idx < to_idx:
-            raise StorageError(
-                f"index {from_idx} was compacted away (first kept: "
-                f"{self._compacted})"
-            )
-        lo = from_idx - self._compacted
-        hi = max(to_idx - self._compacted, lo)
-        return tuple(self._log[lo:hi])
-
-    def log_len(self) -> int:
-        return self._compacted + len(self._log)
+        self._journal(_REC_TRUNCATE, from_idx)
 
     def compact_prefix(self, idx: int) -> None:
-        if idx > self._decided_idx:
-            raise StorageError(
-                f"cannot compact undecided entries: {idx} > {self._decided_idx}"
-            )
-        if idx <= self._compacted:
-            return
-        self._write_record(_REC_COMPACT, idx)
-        del self._log[:idx - self._compacted]
-        self._compacted = idx
-
-    def compacted_idx(self) -> int:
-        return self._compacted
+        self._journal(_REC_COMPACT, idx)
 
     def set_snapshot(self, state: Any, covers_idx: int) -> None:
-        self._write_record(_REC_SNAPSHOT, (state, covers_idx, False))
-        self._snapshot = (state, covers_idx)
-
-    def get_snapshot(self) -> Optional[Tuple[Any, int]]:
-        return self._snapshot
+        self._journal(_REC_SNAPSHOT, state, covers_idx)
 
     def _reset_log_to(self, logical_len: int) -> None:
-        # Persist the reset together with the (following) snapshot record.
-        self._write_record(_REC_SNAPSHOT, (None, logical_len, True))
-        self._log = []
-        self._compacted = logical_len
-        if self._decided_idx < logical_len:
-            self._decided_idx = logical_len
+        self._journal(_REC_RESET, logical_len)
 
     def set_promise(self, ballot: Ballot) -> None:
-        self._write_record(_REC_PROMISE, ballot)
-        self._promise = ballot
-
-    def get_promise(self) -> Ballot:
-        return self._promise
+        self._journal(_REC_PROMISE, ballot)
 
     def set_accepted_round(self, ballot: Ballot) -> None:
-        self._write_record(_REC_ACC_RND, ballot)
-        self._acc_rnd = ballot
-
-    def get_accepted_round(self) -> Ballot:
-        return self._acc_rnd
+        self._journal(_REC_ACC_RND, ballot)
 
     def set_decided_idx(self, idx: int) -> None:
-        if idx < self._decided_idx:
-            raise StorageError(
-                f"decided index must be monotone: {idx} < {self._decided_idx}"
-            )
-        self._write_record(_REC_DECIDED, idx)
-        self._decided_idx = idx
-
-    def get_decided_idx(self) -> int:
-        return self._decided_idx
+        self._journal(_REC_DECIDED, idx)
 
 
 def snapshot_state(storage: Storage) -> Optional[dict]:

@@ -42,12 +42,12 @@ import json
 import logging
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.encoding import check_encodable
 from repro.errors import ConfigError, StorageError, TransportError
 from repro.obs.exporters import metrics_snapshot
 from repro.obs.flight import FlightRecorder
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.replica import Replica
-from repro.runtime.codec import check_encodable
 from repro.runtime.transport import PeerAddress, TcpMesh
 
 logger = logging.getLogger(__name__)

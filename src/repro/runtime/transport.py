@@ -41,9 +41,9 @@ import random
 from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
 
+from repro.encoding import register_message
 from repro.errors import TransportError
 from repro.obs.registry import NULL_REGISTRY, Instrumented
-from repro.runtime import codec as _codec
 from repro.runtime.codec import FrameDecoder, FrameEncoder, encode_frame
 
 logger = logging.getLogger(__name__)
@@ -129,11 +129,11 @@ class TransportPong:
     sent_ms: float
 
 
-# Registered here rather than in the codec's own table to avoid a
-# circular import (codec <- transport); 0x2E/0x2F are reserved for these
-# two in the codec's tag map.
-_codec.register_message(0x2E, TransportPing)
-_codec.register_message(0x2F, TransportPong)
+# Registered here rather than in the schema table of `repro.encoding`,
+# which sits below the runtime and may not import it; 0x2E/0x2F are
+# reserved for these two in its tag map.
+register_message(0x2E, TransportPing)
+register_message(0x2F, TransportPong)
 
 
 class TcpMesh(Instrumented):

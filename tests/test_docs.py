@@ -89,3 +89,30 @@ class TestDocReferences:
             # the ablations (inventoried as a section).
             if bench.stem != "bench_ablations":
                 assert bench.name in text, f"{bench.name} not in DESIGN.md"
+
+    def test_design_inventory_tree_matches_the_source(self):
+        """DESIGN.md section 3: every file or directory the fenced tree
+        names exists, and every package under ``src/repro/`` is in it."""
+        text = (ROOT / "DESIGN.md").read_text()
+        section = text[text.index("## 3. Repository inventory"):]
+        tree = FENCE_RE.search(section).group(0).splitlines()[1:-1]
+        named, stack = set(), []
+        for line in tree:
+            indent = len(line) - len(line.lstrip())
+            entry = line.split()[0]
+            # Entries sit at two spaces per level; deeper lines continue
+            # the description above them.
+            if indent > 4 or not re.fullmatch(r"[\w./-]+(/|\.\w+)", entry):
+                continue
+            del stack[indent // 2:]
+            named.add("/".join(stack + [entry.rstrip("/")]))
+            if entry.endswith("/"):
+                stack.append(entry.rstrip("/"))
+        assert len(named) > 80
+        for path in sorted(named):
+            assert (ROOT / path).exists(), f"DESIGN.md names missing {path}"
+        packages = {f"src/repro/{child.name}"
+                    for child in (ROOT / "src" / "repro").iterdir()
+                    if (child / "__init__.py").exists()}
+        assert packages <= named, sorted(packages - named)
+

@@ -12,7 +12,10 @@ completeness under arbitrary donor behaviour, and KV determinism.
 """
 
 import itertools
+import os
+import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +23,8 @@ from repro.omni.ballot import BOTTOM, Ballot
 from repro.omni.entry import Command
 from repro.omni.invariants import check_all
 from repro.omni.reconfig import MigrationPlan, serve_pull_request
-from repro.omni.storage import InMemoryStorage
+from repro.errors import StorageError
+from repro.omni.storage import FileStorage, InMemoryStorage
 from repro.kv.store import KVCommand, KVStateMachine, encode_command
 
 from tests.conftest import build_omni_cluster
@@ -98,6 +102,72 @@ class TestStorageModel:
             assert storage.log_len() == len(model)
             assert list(storage.get_entries(0, len(model))) == model
             assert storage.get_decided_idx() == decided
+
+
+# One view: FileStorage is InMemoryStorage plus a journal, so any call
+# sequence — refused calls included — leaves the two equal, across re-opens.
+indices = st.integers(0, 40)
+journal_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("append_entries"), st.lists(
+            st.builds(Command, st.binary(max_size=8), st.integers(0, 9),
+                      st.integers(0, 999)), max_size=4)),
+        st.tuples(st.just("append_entry"), st.text(max_size=4)),
+        st.tuples(st.just("truncate_suffix"), indices),
+        st.tuples(st.just("set_decided_idx"), indices),
+        st.tuples(st.just("compact_prefix"), indices),
+        st.tuples(st.just("set_snapshot"), st.dictionaries(
+            st.text(max_size=3), st.integers(), max_size=3), indices),
+        st.tuples(st.just("install_snapshot"), st.just({"k": 1}), indices),
+        st.tuples(st.just("set_promise"), ballots),
+        st.tuples(st.just("set_accepted_round"), ballots),
+        st.tuples(st.just("reopen")),
+    ),
+    max_size=30,
+)
+
+
+def storage_view(storage):
+    first = storage.compacted_idx()
+    return (first, storage.log_len(),
+            storage.get_entries(first, storage.log_len()),
+            storage.get_snapshot(), storage.get_promise(),
+            storage.get_accepted_round(), storage.get_decided_idx())
+
+
+class TestOneStorageView:
+    @given(journal_ops)
+    @settings(max_examples=60, deadline=None)
+    def test_file_storage_equals_in_memory_storage(self, ops):
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "wal.bin")
+            memory, file = InMemoryStorage(), FileStorage(path)
+            staged = 0
+            for name, *args in ops:
+                if name == "reopen":
+                    file.close()
+                    file, staged = FileStorage(path), 0
+                else:
+                    try:
+                        getattr(memory, name)(*args)
+                    except StorageError as refusal:
+                        with pytest.raises(StorageError) as same:
+                            getattr(file, name)(*args)
+                        assert str(same.value) == str(refusal)
+                        # A refused call stages nothing.
+                        assert file.sync() == staged
+                        staged = 0
+                    else:
+                        getattr(file, name)(*args)
+                        staged += 1
+                        if name == "install_snapshot":  # several records
+                            file.sync()
+                            staged = 0
+                assert storage_view(file) == storage_view(memory)
+            file.close()
+            reopened = FileStorage(path)
+            assert storage_view(reopened) == storage_view(memory)
+            reopened.close()
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,25 @@ class TestImportHygiene:
             text=True, env={**os.environ, "PYTHONPATH": str(src)})
         assert out.stdout.strip() == "[]"
 
+    def test_durable_storage_needs_no_runtime(self, tmp_path):
+        """``FileStorage`` writes the wire's value encoding, which lives
+        below both: a simulator process that journals to disk loads
+        neither the TCP runtime nor an event loop."""
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys, repro.sim; "
+                "from repro.omni.storage import FileStorage; "
+                "from repro.omni.entry import Command; "
+                f"path = {str(tmp_path / 'wal.bin')!r}; "
+                "s = FileStorage(path); s.append_entry(Command(b'x')); "
+                "s.sync(); s.close(); s = FileStorage(path); "
+                "assert s.log_len() == 1; s.close(); "
+                "print(sorted(m for m in sys.modules if m == 'asyncio' "
+                "or m.startswith('repro.runtime')))")
+        out = subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "[]"
+
 
 class TestRng:
     def test_make_rng_deterministic(self):

@@ -10,6 +10,7 @@ import pytest
 from repro.baselines import multipaxos as mp
 from repro.baselines import raft
 from repro.baselines import vr
+from repro import encoding
 from repro.errors import TransportError
 from repro.kv.store import KVCommand, encode_command, kv_snapshotter
 from repro.obs.spans import TraceContext
@@ -175,17 +176,17 @@ class TestRegisteredRoundTrips:
         assert type(got) is type(payload)
 
     def test_every_protocol_message_is_registered(self):
-        registered = set(codec.REGISTERED_MESSAGES.values())
+        registered = set(encoding.REGISTERED_MESSAGES.values())
         for module in (om, raft, mp, vr):
             for cls in module.WIRE_MESSAGES:
                 assert cls in registered, (
                     f"{module.__name__}.{cls.__name__} is on the wire but "
-                    "has no binary tag in repro.runtime.codec")
+                    "has no binary tag in repro.encoding")
 
     def test_every_registered_type_has_a_sample(self):
         sampled = {type(s) for s in SAMPLES}
         missing = [cls.__name__
-                   for cls in codec.REGISTERED_MESSAGES.values()
+                   for cls in encoding.REGISTERED_MESSAGES.values()
                    if cls not in sampled]
         assert not missing, f"no round-trip sample for: {missing}"
 
@@ -193,12 +194,12 @@ class TestRegisteredRoundTrips:
         # Tags are wire format: they may be appended, never renumbered or
         # swapped, and every registered tag needs a pin.
         registered = {(tag, cls.__name__)
-                      for tag, cls in codec.REGISTERED_MESSAGES.items()}
+                      for tag, cls in encoding.REGISTERED_MESSAGES.items()}
         assert registered | {(0x0A, "dict")} == set(GOLDEN_FRAMES)
 
     def test_duplicate_tag_rejected(self):
         with pytest.raises(ValueError):
-            codec.register_message(0x10, TransportPing)
+            encoding.register_message(0x10, TransportPing)
 
     @pytest.mark.parametrize("tag, name", sorted(GOLDEN_FRAMES),
                              ids=lambda v: v if isinstance(v, str) else f"0x{v:02X}")
