@@ -212,7 +212,8 @@ class MultiPaxosReplica(Replica, Instrumented):
         # Failure detector.
         self._last_pong = 0.0
         self._next_ping = 0.0
-        self._buffer: List[Any] = []
+        #: First slot proposed since the last hand-out (None: nothing unsent).
+        self._unsent_from: Optional[int] = None
         self._outbox: List[Tuple[int, Any]] = []
         self._decided_out: List[Tuple[int, Any]] = []
         self._crashed = False
@@ -320,6 +321,8 @@ class MultiPaxosReplica(Replica, Instrumented):
         self.propose_batch([entry], now_ms)
 
     def propose_batch(self, entries: Sequence[Any], now_ms: float) -> None:
+        """Append and accept ``entries`` locally (leader only); the ``P2a``
+        that replicates them is built by the next :meth:`take_outbox`."""
         if self._role is not MPRole.LEADER:
             raise NotLeaderError(leader=self._believed_leader)
         first = len(self._log)
@@ -331,11 +334,19 @@ class MultiPaxosReplica(Replica, Instrumented):
                 protocol="multipaxos", trace_id=entry_trace_id(entries[0]),
             ))
         self._accept_locally(first, entries)
-        self._broadcast(P2a(self._ballot, first, tuple(entries),
-                            self._decided_upto))
+        if self._unsent_from is None:
+            self._unsent_from = first
         self._maybe_decide()
 
     def take_outbox(self) -> List[Tuple[int, Any]]:
+        if self._unsent_from is not None:
+            # One P2a per follower for everything proposed since the last
+            # hand-out (none if we were deposed in between).
+            first, self._unsent_from = self._unsent_from, None
+            if self._role is MPRole.LEADER:
+                self._broadcast(P2a(self._ballot, first,
+                                    tuple(self._log[first:]),
+                                    self._decided_upto))
         out, self._outbox = self._outbox, []
         return out
 
@@ -525,6 +536,7 @@ class MultiPaxosReplica(Replica, Instrumented):
         self._believed_leader = self.pid
         self._campaign_attempts = 0
         self._acceptor_upto = {}
+        self._unsent_from = None  # the re-proposal below covers the tail
         self.stats.leader_changes += 1
         if self._obs.enabled:
             self._obs.emit(BallotElected(pid=self.pid, leader=self.pid,
@@ -536,9 +548,6 @@ class MultiPaxosReplica(Replica, Instrumented):
         self._broadcast(P2a(self._ballot, tail_from, values, self._decided_upto))
         if decided > self._decided_upto:
             self._advance_decided(min(decided, self._accepted_upto))
-        if self._buffer:
-            pending, self._buffer = self._buffer, []
-            self.propose_batch(pending, now_ms)
         self._maybe_decide()
 
     def _accept_locally(self, first_slot: int, values: Sequence[Any]) -> None:

@@ -600,7 +600,8 @@ class RaftReplica(Replica, Instrumented):
                 pid=self.pid, from_idx=start, to_idx=len(self._log),
                 protocol="raft", trace_id=entry_trace_id(entries[0]),
             ))
-        self._maybe_commit()
+        if len(self.members) == 1:
+            self._maybe_commit()  # nobody else to wait for
         self._unsent = True
 
     def propose_reconfiguration(self, servers: Sequence[int],
@@ -1056,32 +1057,28 @@ class RaftReplica(Replica, Instrumented):
             )
             self._send_append(src)
 
-    def _committed_by(self, idx: int, voter_set: Sequence[int]) -> bool:
-        count = 0
-        for pid in voter_set:
-            match = len(self._log) if pid == self.pid else self._match_idx.get(pid, 0)
-            if match >= idx:
-                count += 1
-        return count >= len(voter_set) // 2 + 1
+    def _quorum_match(self, voters: Sequence[int]) -> int:
+        """The highest index a majority of ``voters`` holds."""
+        matches = sorted(
+            len(self._log) if pid == self.pid else self._match_idx.get(pid, 0)
+            for pid in voters)
+        return matches[(len(voters) - 1) // 2]
 
     def _maybe_commit(self) -> None:
         if self._role is not RaftRole.LEADER or self._voters is None:
             return
-        for idx in range(len(self._log), self._commit_idx, -1):
-            if self._log.covered_by_snapshot(idx):
-                break
-            if self._log.term_at(idx) != self._term:
-                break  # only entries of the current term commit by counting
-            voter_set: Sequence[int] = self._voters
-            if self._pending_config is not None and idx > self._pending_config[0]:
-                # Entries past an uncommitted config change need the NEW
-                # majority as well — with a majority of fresh servers this
-                # stalls until one of them has caught up the whole log.
-                if not self._committed_by(idx, self._pending_config[1]):
-                    continue
-            if self._committed_by(idx, voter_set):
-                self._set_commit(idx)
-                break
+        # (Clamped: a follower's snapshot reply can report a longer, stale log.)
+        idx = min(self._quorum_match(self._voters), len(self._log))
+        if self._pending_config is not None and idx > self._pending_config[0]:
+            # Entries past an uncommitted config change need the NEW
+            # majority as well — with a majority of fresh servers this
+            # stalls until one of them has caught up the whole log.
+            pending_idx, new_voters = self._pending_config
+            idx = max(pending_idx, min(idx, self._quorum_match(new_voters)))
+        # Only entries of the current term commit by counting.
+        if idx > self._commit_idx and not self._log.covered_by_snapshot(idx) \
+                and self._log.term_at(idx) == self._term:
+            self._set_commit(idx)
 
     def _set_commit(self, idx: int) -> None:
         if idx <= self._commit_idx:

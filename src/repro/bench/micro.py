@@ -12,6 +12,11 @@ import random
 from collections import deque
 from typing import Any, Deque, Dict, Tuple
 
+from repro.baselines.multipaxos import (
+    MultiPaxosConfig,
+    MultiPaxosReplica,
+    P2a,
+)
 from repro.baselines.raft import AppendEntries, RaftConfig, RaftReplica
 from repro.bench.runner import LogDigest
 from repro.omni.ballot import Ballot
@@ -216,10 +221,15 @@ def _burst_then_one_handout(replicas: Dict[int, Replica],
     def hand_out(pid: int) -> None:
         for dst, msg in replicas[pid].take_outbox():
             inner = msg.payload if isinstance(msg, Envelope) else msg
-            if isinstance(inner, (AcceptDecide, AppendEntries)) \
-                    and inner.entries:  # not a Raft heartbeat
+            if isinstance(inner, P2a):
+                carried = inner.values
+            elif isinstance(inner, (AcceptDecide, AppendEntries)):
+                carried = inner.entries
+            else:
+                carried = ()
+            if carried:  # not a Raft or Multi-Paxos heartbeat
                 counts["replicate_msgs"] += 1
-                counts["replicate_entries"] += len(inner.entries)
+                counts["replicate_entries"] += len(carried)
             wire.append((pid, dst, msg))
         for idx, entry in replicas[pid].take_decided():
             digest.record(pid, idx, entry)
@@ -264,10 +274,10 @@ def bench_handout_fanout(n_proposals: int, seed: int = 0) -> Dict[str, Any]:
     """A burst of proposals costs one replication message per follower.
 
     Three sans-io servers per protocol, no clock: what the leader appends
-    between two hand-outs leaves as one ``AcceptDecide`` (Omni-Paxos) or
-    one ``AppendEntries`` (Raft) per follower, so ``replicate_msgs`` is
-    the follower count however long the burst — per-proposal fan-out
-    would make it ``2 * n_proposals``.
+    between two hand-outs leaves as one ``AcceptDecide`` (Omni-Paxos),
+    one ``AppendEntries`` (Raft) or one ``P2a`` (Multi-Paxos) per
+    follower, so ``replicate_msgs`` is the follower count however long
+    the burst — per-proposal fan-out would make it ``2 * n_proposals``.
     """
     servers = (1, 2, 3)
     return {
@@ -278,6 +288,11 @@ def bench_handout_fanout(n_proposals: int, seed: int = 0) -> Dict[str, Any]:
         "raft": _burst_then_one_handout({
             pid: RaftReplica(RaftConfig(
                 pid=pid, voters=servers, seed=seed, initial_leader=1))
+            for pid in servers}, n_proposals),
+        "multipaxos": _burst_then_one_handout({
+            pid: MultiPaxosReplica(MultiPaxosConfig(
+                pid=pid, peers=tuple(p for p in servers if p != pid),
+                seed=seed, initial_leader=1))
             for pid in servers}, n_proposals),
     }
 

@@ -16,8 +16,8 @@ The contract is sans-io and pull-based:
 
 A replica may defer *building* messages until :meth:`take_outbox`: a
 proposal is accepted, appended or refused inside :meth:`propose`, but it
-is on the wire only after the next hand-out. Omni-Paxos, VR and Raft
-leaders replicate this way — one ``AcceptDecide`` / ``AppendEntries`` per
+is on the wire only after the next hand-out. Every leader replicates
+this way — one ``AcceptDecide`` / ``AppendEntries`` / ``P2a`` per
 follower for everything proposed since the last hand-out — so a driver
 that hands out less often gets fewer, larger messages, and one that hands
 out after every call (the simulator) gets one message per proposal.

@@ -3,9 +3,16 @@
 ``propose()`` appends (and refuses, clips at a stop-sign, decides on a
 one-server cluster); the messages that replicate what was appended are
 built by the next ``take_outbox()``: one ``AcceptDecide`` (Raft: one
-``AppendEntries``) per follower, however many proposals came in between.
+``AppendEntries``, Multi-Paxos: one ``P2a``) per follower, however many
+proposals came in between.
 """
 
+from repro.baselines.multipaxos import (
+    MultiPaxosConfig,
+    MultiPaxosReplica,
+    P1a,
+    P2a,
+)
 from repro.baselines.raft import AppendEntries, RaftConfig, RaftReplica
 from repro.omni.ballot import Ballot
 from repro.omni.entry import StopSign
@@ -117,6 +124,42 @@ def test_raft_k_proposals_leave_as_one_append_entries_per_follower():
         assert isinstance(msg, AppendEntries)
         assert [slot.entry for slot in msg.entries] == \
             [cmd(i) for i in range(K)]
+    assert leader.take_outbox() == []
+
+
+def multipaxos_leader():
+    leader = MultiPaxosReplica(MultiPaxosConfig(pid=1, peers=(2, 3),
+                                                initial_leader=1))
+    leader.start(0.0)
+    return leader
+
+
+def test_multipaxos_k_proposals_leave_as_one_p2a_per_follower():
+    leader = multipaxos_leader()
+    for i in range(K):
+        leader.propose(cmd(i), 1.0)
+    out = leader.take_outbox()
+    assert [dst for dst, _ in out] == [2, 3]
+    for _, msg in out:
+        assert isinstance(msg, P2a)
+        assert (msg.first_slot, msg.values) == \
+            (0, tuple(cmd(i) for i in range(K)))
+    assert leader.take_outbox() == []  # nothing is sent twice
+
+    leader.propose(cmd(K), 2.0)
+    (_, nxt), _ = leader.take_outbox()
+    assert (nxt.first_slot, nxt.values) == (K, (cmd(K),))
+
+
+def test_multipaxos_deposed_before_the_handout_sends_no_p2a():
+    leader = multipaxos_leader()
+    for i in range(K):
+        leader.propose(cmd(i), 1.0)
+    leader.on_message(2, P1a((2, 2), 0), 2.0)
+    assert not leader.is_leader
+    out = leader.take_outbox()
+    assert not any(isinstance(msg, P2a) for _, msg in out)  # only the P1b
+    assert leader.decided_upto == 0
     assert leader.take_outbox() == []
 
 

@@ -1,23 +1,27 @@
 """Property: how often the driver hands out changes how many messages
 carry the log, never what gets decided.
 
-Three sans-io Omni-Paxos servers on per-link FIFO queues, no clock (so no
-heartbeats and no leader change). Once the leader has synchronized its
-followers, a random schedule interleaves proposals at the leader with
-hand-outs at any server, deliveries of one or of all queued messages on
-any link, and resyncs (the leader re-Prepares a follower, whose Promise
-is left in flight: delivered after a proposal and before its hand-out,
-it makes that follower's ``AcceptSync`` carry the entry); it is run
-twice, the leader handing out after every proposal in one run and only
-after every ``j``-th in the other. Both runs must decide exactly the
-proposal order, at every server.
+Three sans-io servers on per-link FIFO queues, no follower clock (so no
+leader change). Once the leader has synchronized its followers, a random
+schedule interleaves proposals at the leader with hand-outs at any
+server, deliveries of one or of all queued messages on any link, and
+resyncs whose reply is left in flight — Omni-Paxos: the leader
+re-Prepares a follower, and its Promise, delivered after a proposal and
+before its hand-out, makes that follower's ``AcceptSync`` carry the
+entry; Multi-Paxos: the leader heartbeats, and the follower's ``P2b``,
+delivered in that same gap, makes the leader stream it the entries the
+hand-out then sends again. The schedule is run twice, the leader handing
+out after every proposal in one run and only after every ``j``-th in the
+other. Both runs must decide exactly the proposal order, at every server.
 """
 
+import itertools
 from collections import deque
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.multipaxos import MultiPaxosConfig, MultiPaxosReplica
 from repro.omni.entry import Command
 from repro.omni.server import ClusterConfig, OmniPaxosConfig, OmniPaxosServer
 
@@ -36,10 +40,19 @@ schedules = st.lists(
 )
 
 
-def run(schedule, hand_out_every):
-    cluster = ClusterConfig(0, SERVERS)
-    servers = {pid: OmniPaxosServer(OmniPaxosConfig(
-        pid=pid, cluster=cluster, initial_leader=1)) for pid in SERVERS}
+def build(protocol):
+    if protocol == "omni":
+        cluster = ClusterConfig(0, SERVERS)
+        return {pid: OmniPaxosServer(OmniPaxosConfig(
+            pid=pid, cluster=cluster, initial_leader=1)) for pid in SERVERS}
+    return {pid: MultiPaxosReplica(MultiPaxosConfig(
+        pid=pid, peers=tuple(p for p in SERVERS if p != pid),
+        initial_leader=1)) for pid in SERVERS}
+
+
+def run(protocol, schedule, hand_out_every):
+    servers = build(protocol)
+    clock = itertools.count(100, 100)  # one heartbeat period apart
     links = {link: deque() for link in LINKS}
     decided = {pid: [] for pid in SERVERS}
 
@@ -83,7 +96,10 @@ def run(schedule, hand_out_every):
         elif op == "deliver_all":
             deliver(arg, everything=True)
         else:
-            servers[1].on_session_drop(arg, 0.0)
+            if protocol == "omni":
+                servers[1].on_session_drop(arg, 0.0)
+            else:
+                servers[1].tick(float(next(clock)))
             hand_out(1)
             deliver((1, arg), everything=True)
             hand_out(arg)
@@ -91,10 +107,21 @@ def run(schedule, hand_out_every):
     return proposed, decided
 
 
+def check(protocol, schedule, j):
+    proposed, every = run(protocol, schedule, hand_out_every=1)
+    _, every_jth = run(protocol, schedule, hand_out_every=j)
+    assert every == every_jth == {pid: proposed for pid in SERVERS}
+
+
 @given(schedule=schedules, j=st.integers(min_value=2, max_value=9))
 @settings(max_examples=60, deadline=None)
 def test_decided_sequence_is_the_proposal_order_whatever_the_handout_cadence(
         schedule, j):
-    proposed, every = run(schedule, hand_out_every=1)
-    _, every_jth = run(schedule, hand_out_every=j)
-    assert every == every_jth == {pid: proposed for pid in SERVERS}
+    check("omni", schedule, j)
+
+
+@given(schedule=schedules, j=st.integers(min_value=2, max_value=9))
+@settings(max_examples=60, deadline=None)
+def test_multipaxos_decides_the_proposal_order_whatever_the_handout_cadence(
+        schedule, j):
+    check("multipaxos", schedule, j)

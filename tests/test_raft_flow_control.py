@@ -5,12 +5,15 @@ bounded windows and survive stale rejections — the machinery that keeps the
 Figure-9 experiments stable under finite egress.
 """
 
+from collections import deque
+
 import pytest
 
 from repro.baselines.raft import (
     AppendEntries,
     AppendEntriesReply,
     RaftConfig,
+    RaftConfigChange,
     RaftReplica,
 )
 from repro.omni.entry import Command
@@ -112,3 +115,111 @@ class TestEndToEndCatchUp:
         assert exp.cluster.replica(3).commit_idx == 2_000
         # The leader never lost its seat to heartbeat starvation.
         assert exp.cluster.replica(1).is_leader
+
+
+class Wire:
+    """Sans-io replicas on one FIFO wire, a hand-out after every delivery
+    (like the simulator). Only the leader's clock runs, so nobody
+    campaigns."""
+
+    def __init__(self, replicas):
+        self.replicas = replicas
+        self.queue = deque()
+        self.replies_to_leader = 0
+        for pid, replica in replicas.items():
+            replica.start(0.0)
+            self.hand_out(pid)
+        self.settle()
+
+    @classmethod
+    def of(cls, voters, joiners=()):
+        replicas = {pid: RaftReplica(RaftConfig(
+            pid=pid, voters=voters, initial_leader=1)) for pid in voters}
+        replicas.update({pid: RaftReplica(RaftConfig(pid=pid, voters=()))
+                         for pid in joiners})
+        return cls(replicas)
+
+    def hand_out(self, pid):
+        self.queue.extend((pid, dst, msg)
+                          for dst, msg in self.replicas[pid].take_outbox())
+
+    def settle(self, now_ms=0.0):
+        while self.queue:
+            src, dst, msg = self.queue.popleft()
+            if dst == 1 and isinstance(msg, AppendEntriesReply):
+                self.replies_to_leader += 1
+            self.replicas[dst].on_message(src, msg, now_ms)
+            self.hand_out(dst)
+
+    def heartbeat(self, now_ms):
+        """Followers learn the commit index from the next heartbeat."""
+        self.replicas[1].tick(now_ms)
+        self.hand_out(1)
+        self.settle(now_ms)
+
+
+class TestCommitRule:
+    def test_burst_of_512_costs_the_leader_constant_work_per_reply(self):
+        """512 proposals before one hand-out: what the leader does to find
+        the commit index is bounded per AppendEntriesReply, not by how many
+        entries are outstanding (a per-proposal scan of the uncommitted
+        tail made this burst 131 328 term lookups)."""
+        wire = Wire.of(voters=(1, 2, 3))
+        leader = wire.replicas[1]
+        lookups = []
+        term_at = leader._log.term_at
+        leader._log.term_at = lambda idx: lookups.append(idx) or term_at(idx)
+        wire.replies_to_leader = 0
+        for i in range(512):
+            leader.propose(cmd(i), 0.0)
+        wire.hand_out(1)
+        wire.settle()
+        wire.heartbeat(100.0)
+        assert [r.commit_idx for r in wire.replicas.values()] == [512] * 3
+        assert [e for _, e in wire.replicas[3].take_decided()] == \
+            [cmd(i) for i in range(512)]
+        assert wire.replies_to_leader == 4  # two for the burst, two beats
+        # Per reply: one lookup in the commit rule, one for the prev_term
+        # of a follow-up AppendEntries; per broadcast: one per follower.
+        assert len(lookups) <= 4 * wire.replies_to_leader
+
+    def test_single_voter_decides_inside_propose(self):
+        wire = Wire.of(voters=(1,))
+        leader = wire.replicas[1]
+        leader.propose(cmd(0), 0.0)
+        assert [e for _, e in leader.take_decided()] == [cmd(0)]
+        assert leader.take_outbox() == []  # nobody to tell
+
+    def test_three_to_one_commits_the_tail_once_the_change_applies(self):
+        leader = Wire.of(voters=(1, 2, 3)).replicas[1]
+        leader.propose_reconfiguration((1,), 0.0)
+        for i in range(3):
+            leader.propose(cmd(i), 0.0)  # behind the pending change
+        leader.take_outbox()
+        leader.on_message(2, AppendEntriesReply(1, True, 1), 1.0)
+        # Follower 2 holds the change alone: it commits under the old
+        # majority, the tail does not (1 of 3) — and now 1 is the cluster.
+        assert (leader.commit_idx, leader.members) == (1, (1,))
+        # The quorum relaxed with no match index moving: the next
+        # successful reply commits the tail, whatever it acknowledges.
+        leader.on_message(2, AppendEntriesReply(1, True, 1), 2.0)
+        assert leader.commit_idx == 4
+        assert [e for _, e in leader.take_decided()] == \
+            [RaftConfigChange((1,))] + [cmd(i) for i in range(3)]
+        leader.propose(cmd(3), 3.0)
+        assert leader.commit_idx == 5  # alone: inside propose()
+
+    def test_one_to_three_commits_the_tail_under_the_new_majority(self):
+        wire = Wire.of(voters=(1,), joiners=(2, 3))
+        leader = wire.replicas[1]
+        leader.propose_reconfiguration((1, 2, 3), 0.0)
+        for i in range(3):
+            leader.propose(cmd(i), 0.0)  # behind the pending change
+        # Alone in the old set the leader commits the change by itself;
+        # everything behind it needs two of the new three.
+        assert (leader.commit_idx, leader.members) == (1, (1, 2, 3))
+        wire.hand_out(1)
+        wire.settle()
+        assert leader.commit_idx == 4
+        wire.heartbeat(100.0)
+        assert [r.commit_idx for r in wire.replicas.values()] == [4] * 3
