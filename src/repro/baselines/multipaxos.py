@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-
-from repro.util.compat import SLOTTED
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigError, NotLeaderError
@@ -45,7 +43,6 @@ from repro.obs.events import (
     RecoveryStarted,
     RoleChanged,
 )
-from repro.obs.registry import Instrumented
 from repro.obs.spans import entry_trace_id
 from repro.omni.entry import entry_wire_size
 from repro.replica import Replica
@@ -67,7 +64,7 @@ class MPRole(enum.Enum):
 # wire messages
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class P1a:
     """Phase-1 prepare: ballot plus the slot to recover from."""
 
@@ -78,7 +75,7 @@ class P1a:
         return _HEADER + 24
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class P1b:
     """Phase-1 reply. ``promised > ballot`` means preempted."""
 
@@ -92,7 +89,7 @@ class P1b:
         return _HEADER + 40 + payload
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class P2a:
     """Phase-2 accept for a batch of consecutive slots (also the leader's
     heartbeat when ``slots`` is empty)."""
@@ -107,7 +104,7 @@ class P2a:
         return _HEADER + 40 + payload
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class P2b:
     """Phase-2 reply: accepted watermark, or preemption via ``promised``."""
 
@@ -119,7 +116,7 @@ class P2b:
         return _HEADER + 40
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class Ping:
     """Failure-detector probe to the believed leader."""
 
@@ -127,7 +124,7 @@ class Ping:
         return _HEADER
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class Pong:
     """Process-alive reply — answered regardless of role, which is exactly
     why the quorum-loss pivot never suspects the degraded leader."""
@@ -140,7 +137,7 @@ class Pong:
 # configuration
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class MultiPaxosConfig:
     pid: int
     peers: Tuple[int, ...]
@@ -186,7 +183,7 @@ class MultiPaxosStats:
     leader_changes: int = 0
 
 
-class MultiPaxosReplica(Replica, Instrumented):
+class MultiPaxosReplica(Replica):
     """One Multi-Paxos server (proposer + acceptor + learner)."""
 
     def __init__(self, config: MultiPaxosConfig):

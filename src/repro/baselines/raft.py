@@ -41,12 +41,11 @@ from repro.obs.events import (
     RoleChanged,
 )
 from repro.obs.health import GrayFailureDetector, SelfDegradationMonitor
-from repro.obs.registry import Instrumented, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import entry_trace_id
 from repro.omni.entry import SnapshotInstalled, entry_wire_size
 from repro.replica import Replica
 from repro.util.rng import spawn_rng
-from repro.util.compat import SLOTTED
 
 _HEADER = 24
 
@@ -62,7 +61,7 @@ class RaftRole(enum.Enum):
 # wire messages
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class RequestVote:
     term: int
     candidate: int
@@ -74,7 +73,7 @@ class RequestVote:
         return _HEADER + 33
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class RequestVoteReply:
     term: int
     granted: bool
@@ -84,7 +83,7 @@ class RequestVoteReply:
         return _HEADER + 10
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class AppendEntries:
     term: int
     leader: int
@@ -101,7 +100,7 @@ class AppendEntries:
         return _HEADER + 44 + payload
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class AppendEntriesReply:
     term: int
     success: bool
@@ -114,7 +113,7 @@ class AppendEntriesReply:
         return _HEADER + 21
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class RaftSlot:
     """One log slot: the term it was appended in plus the client entry."""
 
@@ -122,7 +121,7 @@ class RaftSlot:
     entry: Any
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class TimeoutNow:
     """Leader -> chosen successor: campaign immediately (leadership
     transfer, as in etcd/TiKV). The recipient skips PreVote — the sender is
@@ -134,7 +133,7 @@ class TimeoutNow:
         return _HEADER + 8
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class RaftConfigChange:
     """A membership-change log entry (takes effect when committed)."""
 
@@ -144,7 +143,7 @@ class RaftConfigChange:
         return 16 + 8 * len(self.servers)
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class InstallSnapshot:
     """Leader -> far-behind follower: state replacing entries
     ``[0, last_idx)`` (whose final term was ``last_term``)."""
@@ -170,7 +169,7 @@ class InstallSnapshot:
 # configuration
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class RaftConfig:
     """Static configuration of one Raft server.
 
@@ -313,7 +312,7 @@ class RaftStats:
 # the replica
 # --------------------------------------------------------------------------
 
-class RaftReplica(Replica, Instrumented):
+class RaftReplica(Replica):
     """One Raft server (sans-io)."""
 
     def __init__(self, config: RaftConfig):

@@ -27,13 +27,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-
-from repro.util.compat import SLOTTED
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigError
 from repro.obs.events import BallotElected
-from repro.obs.registry import Instrumented, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.omni.ballot import Ballot
 from repro.omni.sequence_paxos import SequencePaxos, SequencePaxosConfig
 from repro.omni.storage import InMemoryStorage, Storage
@@ -47,7 +45,7 @@ class VRStatus(enum.Enum):
     VIEW_CHANGE = "view-change"
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class StartViewChange:
     """'I want (or heard of) a change to view ``view``' — gossiped."""
 
@@ -57,7 +55,7 @@ class StartViewChange:
         return _HEADER + 8
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class DoViewChange:
     """Sent to the new primary by replicas that saw a majority of
     StartViewChange messages for ``view``."""
@@ -68,7 +66,7 @@ class DoViewChange:
         return _HEADER + 8
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class StartView:
     """The new primary announces that ``view`` is operational."""
 
@@ -78,7 +76,7 @@ class StartView:
         return _HEADER + 8
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class VRPing:
     """Primary liveness heartbeat within a view."""
 
@@ -88,7 +86,7 @@ class VRPing:
         return _HEADER + 8
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class VRConfig:
     pid: int
     servers: Tuple[int, ...]
@@ -125,7 +123,7 @@ class VRStats:
     views_established: int = 0
 
 
-class VRReplica(Replica, Instrumented):
+class VRReplica(Replica):
     """One VR server: view-change election + Sequence Paxos replication."""
 
     def _on_observability(self, registry: MetricsRegistry) -> None:
@@ -261,11 +259,16 @@ class VRReplica(Replica, Instrumented):
         # Sequence Paxos builds the messages for what was proposed since
         # the last hand-out in its own take_outbox.
         self._drain_sp()
+        if self._outbox:
+            self._sp.storage.sync()  # nothing leaves ahead of the disk
         out, self._outbox = self._outbox, []
         return out
 
     def take_decided(self) -> List[Tuple[int, Any]]:
-        return self._sp.take_decided()
+        decided = self._sp.take_decided()
+        if decided:
+            self._sp.storage.sync()
+        return decided
 
     # ------------------------------------------------------------------
     # Replica interface: failures

@@ -24,6 +24,7 @@ import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
+from repro.baselines.raft import RaftReplica
 from repro.chaos.checker import DecidedLogChecker, command_validator
 from repro.chaos.schedule import ChaosSchedule, FaultOp, describe_op
 from repro.errors import ReproError
@@ -354,12 +355,12 @@ class _ChaosRun:
             self.white_violation = str(exc)
             self.white_violation_at = self.cluster.now
             return
-        # Cross-time single-leader-per-term for protocols exposing ``term``
-        # (Raft: at most one leader may ever win a given term).
+        # Cross-time single-leader-per-term: at most one Raft leader may
+        # ever win a given term.
         for node in alive:
-            term = getattr(node, "term", None)
-            if term is None or not node.is_leader:
+            if not isinstance(node, RaftReplica) or not node.is_leader:
                 continue
+            term = node.term
             key = (self.schedule.protocol, term)
             owner = self._term_leaders.get(key)
             if owner is not None and owner != node.pid:

@@ -16,21 +16,19 @@ JSON-lines exporter and the ``repro-obs`` report CLI.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-
-from repro.util.compat import SLOTTED
 from typing import Any, ClassVar, Dict, Optional, Tuple, Type
 
 from repro.errors import ConfigError
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class ProtocolEvent:
     """Base class; subclasses define ``kind`` and their payload fields."""
 
     kind: ClassVar[str] = "ProtocolEvent"
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class BallotElected(ProtocolEvent):
     """Server ``pid`` observed ``leader`` elected with ballot/term/view
     number ``ballot`` (BLE election, Raft term win, MP Phase-1 completion,
@@ -42,7 +40,7 @@ class BallotElected(ProtocolEvent):
     ballot: int = 0
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class BallotBumped(ProtocolEvent):
     """Server ``pid`` bumped its own ballot to ``ballot`` attempting a
     takeover (BLE check_leader with the leader's ballot absent)."""
@@ -52,7 +50,7 @@ class BallotBumped(ProtocolEvent):
     ballot: int = 0
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class QCFlagChanged(ProtocolEvent):
     """Server ``pid``'s quorum-connected flag flipped (paper section 5.2:
     the flag that keeps non-QC servers from churning ballots)."""
@@ -62,7 +60,7 @@ class QCFlagChanged(ProtocolEvent):
     quorum_connected: bool = False
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class RoleChanged(ProtocolEvent):
     """Server ``pid`` changed replication role (``leader`` / ``follower`` /
     ``candidate`` / ``precandidate``). ``protocol`` names the emitting
@@ -74,7 +72,7 @@ class RoleChanged(ProtocolEvent):
     protocol: str = "sp"
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class StopSignDecided(ProtocolEvent):
     """Server ``pid`` decided the stop-sign ending configuration
     ``config_id``; the cluster moves to ``next_config_id`` = ``servers``."""
@@ -86,7 +84,7 @@ class StopSignDecided(ProtocolEvent):
     servers: Tuple[int, ...] = ()
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class MigrationDonorPicked(ProtocolEvent):
     """Joining server ``pid`` requested log range ``[from_idx, to_idx)``
     of configuration ``config_id`` from ``donor`` (paper section 6:
@@ -100,7 +98,7 @@ class MigrationDonorPicked(ProtocolEvent):
     to_idx: int = 0
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class MigrationCompleted(ProtocolEvent):
     """Joining server ``pid`` finished migrating ``entries`` log entries
     for configuration ``config_id`` in ``duration_ms``."""
@@ -112,7 +110,7 @@ class MigrationCompleted(ProtocolEvent):
     duration_ms: float = 0.0
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class MigrationSegmentReceived(ProtocolEvent):
     """Joining server ``pid`` received ``entries`` migrated log entries
     starting at ``from_idx`` from ``donor`` — the per-donor signal that
@@ -126,7 +124,7 @@ class MigrationSegmentReceived(ProtocolEvent):
     entries: int = 0
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class SessionDropped(ProtocolEvent):
     """Server ``pid`` observed the link session to ``peer`` drop and
     re-establish (triggers PrepareReq handling, paper section 4.1.3)."""
@@ -136,7 +134,7 @@ class SessionDropped(ProtocolEvent):
     peer: int = 0
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class HeartbeatViewReported(ProtocolEvent):
     """Server ``pid``'s view of the cluster after closing heartbeat round
     ``round``: its ballot, believed leader, QC flag, connectivity count,
@@ -161,7 +159,7 @@ class HeartbeatViewReported(ProtocolEvent):
     jitter_ms: float = 0.0
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class PeerDegraded(ProtocolEvent):
     """Server ``pid``'s gray-failure detector scored ``peer`` as degraded:
     still replying to heartbeats (so crash/partition detectors stay
@@ -176,7 +174,7 @@ class PeerDegraded(ProtocolEvent):
     reason: str = "heartbeat_interval"
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class PeerRecovered(ProtocolEvent):
     """Server ``pid``'s gray-failure detector cleared the degraded flag on
     ``peer`` (score back under the recovery threshold)."""
@@ -187,7 +185,7 @@ class PeerRecovered(ProtocolEvent):
     score: float = 0.0
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class QueueDepthSampled(ProtocolEvent):
     """Instantaneous depth of one staging queue (``queue`` names it: see
     ``repro.obs.prof.QUEUE_NAMES``) sampled by the profiler. ``pid`` is the
@@ -202,7 +200,7 @@ class QueueDepthSampled(ProtocolEvent):
     pid: Optional[int] = None
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class ClientReplyDecided(ProtocolEvent):
     """The closed-loop client observed command ``seq`` decided. The stream
     of these events *is* the paper's throughput/down-time signal — the
@@ -223,7 +221,7 @@ class ClientReplyDecided(ProtocolEvent):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class ProposalAppended(ProtocolEvent):
     """Leader ``pid`` appended entries ``[from_idx, to_idx)`` to its
     replication log and fanned them out (AcceptDecide / AppendEntries /
@@ -237,7 +235,7 @@ class ProposalAppended(ProtocolEvent):
     trace_id: str = ""
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class QuorumAccepted(ProtocolEvent):
     """Leader ``pid`` observed a majority accept through ``log_idx`` and
     advanced the decided index — the quorum milestone of a commit span."""
@@ -248,7 +246,7 @@ class QuorumAccepted(ProtocolEvent):
     protocol: str = "sp"
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class EntryApplied(ProtocolEvent):
     """Server ``pid`` surfaced ``count`` decided entries (through
     ``log_idx``) to the application — the apply milestone of a commit
@@ -260,7 +258,7 @@ class EntryApplied(ProtocolEvent):
     count: int = 0
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class RecoveryStarted(ProtocolEvent):
     """Server ``pid`` began resynchronizing: ``reason`` is ``"crash"``
     (restart, PrepareReq broadcast) or ``"session"`` (link session drop,
@@ -271,7 +269,7 @@ class RecoveryStarted(ProtocolEvent):
     reason: str = "crash"
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class RecoveryCompleted(ProtocolEvent):
     """Server ``pid`` finished resynchronizing (AcceptSync applied, or
     re-elected with a fresh log) with ``log_idx`` entries."""
@@ -281,7 +279,7 @@ class RecoveryCompleted(ProtocolEvent):
     log_idx: int = 0
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class ClientProposalSent(ProtocolEvent):
     """The closed-loop client sent commands ``[first_seq, first_seq +
     count)`` — the start anchor of client round-trip spans."""
@@ -292,7 +290,7 @@ class ClientProposalSent(ProtocolEvent):
     count: int = 1
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class NemesisInjected(ProtocolEvent):
     """The chaos engine applied (``phase="apply"``) or reverted
     (``phase="revert"``) a fault op of kind ``op`` — crash, partition,
@@ -306,7 +304,7 @@ class NemesisInjected(ProtocolEvent):
     detail: str = ""
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class EventRecord:
     """One emitted event plus its registry-stamped emission time."""
 

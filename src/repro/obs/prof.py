@@ -40,7 +40,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.events import EventRecord, QueueDepthSampled
 from repro.obs.spans import client_spans, commit_spans
-from repro.util.compat import SLOTTED
 
 # Canonical staging-point names; every QueueDepthSampled.queue is one of
 # these (plus any future additions), so exporters and the timeline lane can
@@ -90,7 +89,7 @@ def sample_queue_depths(registry, depths: Mapping[str, int],
         registry.emit(QueueDepthSampled(queue=queue, depth=depth, pid=pid))
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class PathAttribution:
     """One decided entry's latency split into causally ordered phases.
 

@@ -27,8 +27,6 @@ guarantee of the observability layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.util.compat import SLOTTED
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.events import (
@@ -68,7 +66,7 @@ SPAN_KINDS = (
 )
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class TraceContext:
     """Trace identity carried on an :class:`~repro.omni.messages.Envelope`.
 
@@ -118,7 +116,7 @@ def entry_trace_id(entry: Any) -> str:
     return f"c{client_id}-{seq}"
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class Span:
     """One reconstructed end-to-end interval of protocol work.
 

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.util.compat import SLOTTED
 
-
-@dataclass(frozen=True, order=True, **SLOTTED)
+@dataclass(frozen=True, order=True, slots=True)
 class Ballot:
     """A totally-ordered, unique round identifier.
 
@@ -52,7 +50,7 @@ class Ballot:
 BOTTOM = Ballot(0, 0, 0)
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class QCBallot:
     """A ballot paired with the sender's quorum-connected flag.
 

@@ -10,12 +10,10 @@ transitions the cluster to ``c_{i+1}``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from repro.util.compat import SLOTTED
 from typing import Any, Optional, Tuple
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class Command:
     """A client command to be applied to the replicated state machine.
 
@@ -33,7 +31,7 @@ class Command:
         return len(self.data) + 16
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class StopSign:
     """The reconfiguration entry that ends a configuration.
 
@@ -53,7 +51,7 @@ class StopSign:
         return size
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class SnapshotInstalled:
     """Marker surfaced in a replica's decided stream when a *snapshot*
     replaced a log prefix.

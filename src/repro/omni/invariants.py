@@ -23,6 +23,7 @@ from typing import Dict, Iterable, List, Sequence
 from repro.errors import ReproError
 from repro.omni.entry import is_stopsign
 from repro.omni.sequence_paxos import SequencePaxos
+from repro.omni.server import OmniPaxosServer
 
 
 class InvariantViolation(ReproError):
@@ -32,14 +33,10 @@ class InvariantViolation(ReproError):
 def _as_sequence_paxos(replicas: Iterable) -> List[SequencePaxos]:
     out = []
     for replica in replicas:
+        if isinstance(replica, OmniPaxosServer):
+            replica = replica.sp_of_current()
         if isinstance(replica, SequencePaxos):
             out.append(replica)
-        else:
-            sp = getattr(replica, "sp_of_current", None)
-            if sp is not None:
-                inst = sp()
-                if inst is not None:
-                    out.append(inst)
     return out
 
 

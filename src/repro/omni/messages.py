@@ -19,7 +19,6 @@ from typing import Any, Optional, Tuple
 from repro.obs.spans import TraceContext
 from repro.omni.ballot import Ballot
 from repro.omni.entry import entry_wire_size
-from repro.util.compat import SLOTTED
 
 _HEADER = 24  # rough per-message framing overhead (type tag, src, dst, len)
 _BALLOT = 20  # three varints, conservatively
@@ -34,7 +33,7 @@ def entries_wire_size(entries: Tuple[Any, ...]) -> int:
 # Ballot Leader Election (paper section 5.2, Figure 4)
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class HeartbeatRequest:
     """Start-of-round probe; ``round`` identifies the heartbeat round."""
 
@@ -44,7 +43,7 @@ class HeartbeatRequest:
         return _HEADER + 8
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class HeartbeatReply:
     """Reply carrying the sender's ballot and quorum-connected flag."""
 
@@ -60,7 +59,7 @@ class HeartbeatReply:
 # Sequence Paxos (paper section 4, Figure 3)
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class Prepare:
     """Leader -> follower: open round ``n`` and ask for a promise.
 
@@ -91,7 +90,7 @@ def _snapshot_wire_size(snapshot: Optional[Tuple[Any, int]]) -> int:
         return 72
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class Promise:
     """Follower -> leader: promise round ``n``, with the leader's missing
     suffix (possibly empty).
@@ -112,7 +111,7 @@ class Promise:
                 + _snapshot_wire_size(self.snapshot))
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class AcceptSync:
     """Leader -> follower: synchronize the follower's log.
 
@@ -139,7 +138,7 @@ class AcceptSync:
                 + _snapshot_wire_size(self.snapshot))
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class AcceptDecide:
     """Leader -> follower: replicate ``entries`` (FIFO pipelined) and
     piggyback the leader's current decided index.
@@ -163,7 +162,7 @@ class AcceptDecide:
         return _HEADER + _BALLOT + 16 + entries_wire_size(self.entries)
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class Accepted:
     """Follower -> leader: the follower's log is accepted up to ``log_idx``
     (and decided up to ``decided_idx`` — the leader uses the latter to
@@ -177,7 +176,7 @@ class Accepted:
         return _HEADER + _BALLOT + 16
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class Trim:
     """Leader -> follower: every server has decided past ``trimmed_idx``;
     reclaim the log prefix below it (compaction)."""
@@ -189,7 +188,7 @@ class Trim:
         return _HEADER + _BALLOT + 8
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class Decide:
     """Leader -> follower: entries up to ``decided_idx`` are decided."""
 
@@ -200,7 +199,7 @@ class Decide:
         return _HEADER + _BALLOT + 8
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class PrepareReq:
     """Recovering server / re-established session -> peers: ask the current
     leader (if the recipient is one) to send a fresh Prepare
@@ -210,7 +209,7 @@ class PrepareReq:
         return _HEADER
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class ProposalForward:
     """Follower -> leader: forward client proposals to the leader."""
 
@@ -224,7 +223,7 @@ class ProposalForward:
 # Service layer: reconfiguration and log migration (paper section 6)
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class NewConfiguration:
     """Continuing server -> new server: announce configuration
     ``config_id`` with member set ``servers``; the joiner must fetch the
@@ -243,7 +242,7 @@ class NewConfiguration:
         return size
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class JoinComplete:
     """Server -> everyone in the new configuration: the sender has started
     ``config_id`` (so it can serve as a migration donor and needs no further
@@ -255,7 +254,7 @@ class JoinComplete:
         return _HEADER + 8
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class LogPullRequest:
     """Joining server -> donor: request decided entries
     ``[from_idx, to_idx)`` of the global replicated log."""
@@ -268,7 +267,7 @@ class LogPullRequest:
         return _HEADER + 24
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class LogSegment:
     """Donor -> joining server: a contiguous slice of decided entries.
 
@@ -296,7 +295,7 @@ COMPONENT_SP = "sp"
 COMPONENT_SERVICE = "svc"
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class Envelope:
     """Routes a payload to the right component of the right configuration.
 

@@ -38,7 +38,7 @@ from repro.obs.events import (
     StopSignDecided,
 )
 from repro.obs.health import GrayFailureDetector
-from repro.obs.registry import Instrumented, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import TraceContext, entry_trace_id
 from repro.omni.ballot import Ballot
 from repro.omni.ble import BallotLeaderElection, BLEConfig
@@ -147,7 +147,7 @@ class ServerStats:
     reconfigurations: int = 0
 
 
-class OmniPaxosServer(Replica, Instrumented):
+class OmniPaxosServer(Replica):
     """A complete Omni-Paxos RSM server."""
 
     def __init__(self, config: OmniPaxosConfig):

@@ -240,16 +240,19 @@ class InMemoryStorage(Storage):
         return self._compacted
 
     def set_snapshot(self, state: Any, covers_idx: int) -> None:
+        if covers_idx < 0:
+            raise StorageError(f"negative snapshot index: {covers_idx}")
         self._snapshot = (state, covers_idx)
 
     def get_snapshot(self) -> Optional[Tuple[Any, int]]:
         return self._snapshot
 
     def _reset_log_to(self, logical_len: int) -> None:
+        if logical_len < self._decided_idx:
+            raise StorageError(f"cannot reset the log below the decided "
+                               f"index: {logical_len} < {self._decided_idx}")
         self._log = []
-        self._compacted = logical_len
-        if self._decided_idx < logical_len:
-            self._decided_idx = logical_len
+        self._compacted = self._decided_idx = logical_len
 
     def set_promise(self, ballot: Ballot) -> None:
         self._promise = ballot
@@ -268,6 +271,8 @@ class InMemoryStorage(Storage):
             raise StorageError(
                 f"decided index must be monotone: {idx} < {self._decided_idx}"
             )
+        if idx > self.log_len():
+            raise StorageError(f"decided past the log: {idx} > {self.log_len()}")
         self._decided_idx = idx
 
     def get_decided_idx(self) -> int:

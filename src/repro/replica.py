@@ -28,9 +28,37 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.obs.health import GrayFailureDetector
+from repro.obs.registry import Instrumented
 
-class Replica(ABC):
-    """A protocol replica the experiment harnesses can drive."""
+
+class ReplicaHooks(Instrumented):
+    """The optional hooks a driver calls, each with a working default:
+    ``set_observability(registry)`` (from ``Instrumented``: keep the
+    registry, tell no one), :meth:`queue_depths`, :attr:`gray_detector`.
+
+    On a base of :class:`Replica`, not in its body: ``benchmarks/e2e``
+    checks that its proxies override every function defined *there*, and
+    they do not know these two yet (ROADMAP 2(e)).
+    """
+
+    def queue_depths(self) -> Dict[str, int]:
+        """Instantaneous depths of the staging queues by name, sampled by
+        a driver with a series collector attached (see
+        :func:`repro.obs.prof.sample_queue_depths`). Default: none."""
+        return {}
+
+    @property
+    def gray_detector(self) -> Optional[GrayFailureDetector]:
+        """The detector a driver feeds measured peer round-trip times
+        (``observe_rtt``), or None when the protocol keeps none."""
+        return None
+
+
+class Replica(ReplicaHooks, ABC):
+    """A protocol replica the experiment harnesses can drive. A driver
+    calls nothing that this class and :class:`ReplicaHooks` do not declare;
+    what is optional is the three hooks there and :meth:`status` below."""
 
     @property
     @abstractmethod

@@ -86,9 +86,7 @@ class RuntimeNode:
             on_rtt=self._handle_rtt,
         )
         self._mesh.set_observability(self._obs)
-        setter = getattr(replica, "set_observability", None)
-        if setter is not None:
-            setter(self._obs)
+        replica.set_observability(self._obs)
         self._admin_addr = admin
         self._admin_server: Optional[asyncio.AbstractServer] = None
         self._flight_dump_path = flight_dump_path
@@ -230,10 +228,8 @@ class RuntimeNode:
         from repro.obs import prof
         prof.sample_queue_depths(self._obs, self._mesh.queue_depths(),
                                  pid=self.pid, last=self._series_memo)
-        depths = getattr(self._replica, "queue_depths", None)
-        if depths is not None:
-            prof.sample_queue_depths(self._obs, depths(), pid=self.pid,
-                                     last=self._series_memo)
+        prof.sample_queue_depths(self._obs, self._replica.queue_depths(),
+                                 pid=self.pid, last=self._series_memo)
         assert self._series is not None
         self._series.sample(self._now_ms())
 
@@ -275,7 +271,7 @@ class RuntimeNode:
             self._step(self._replica.on_session_drop, peer)
 
     def _handle_rtt(self, peer: int, rtt_ms: float) -> None:
-        detector = getattr(self._replica, "gray_detector", None)
+        detector = self._replica.gray_detector
         if detector is not None:
             detector.observe_rtt(peer, rtt_ms)
 

@@ -259,10 +259,9 @@ class Experiment:
             for pid in cluster.pids:
                 if cluster.is_crashed(pid):
                     continue
-                depths = getattr(cluster.replica(pid), "queue_depths", None)
-                if depths is not None:
-                    prof.sample_queue_depths(obs, depths(), pid=pid,
-                                             last=memos.setdefault(pid, {}))
+                prof.sample_queue_depths(
+                    obs, cluster.replica(pid).queue_depths(), pid=pid,
+                    last=memos.setdefault(pid, {}))
             collector.sample(queue.now)
             queue.schedule_in(sample_ms, _sample)
 

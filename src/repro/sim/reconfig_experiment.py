@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.omni.entry import Command
+from repro.omni.server import OmniPaxosServer
 from repro.omni.storage import InMemoryStorage, Storage
 from repro.sim.harness import Experiment, ExperimentConfig, build_experiment, make_replica
 from repro.sim.workload import ClosedLoopClient
@@ -241,7 +242,7 @@ def _converged(exp: Experiment, new_config: Tuple[int, ...],
         replica = exp.cluster.replica(pid)
         if tuple(sorted(replica.members)) != tuple(sorted(new_config)):
             return False
-        if hasattr(replica, "migrating"):  # Omni-Paxos
+        if isinstance(replica, OmniPaxosServer):
             current = replica.current_config
             if replica.migrating or current is None:
                 return False

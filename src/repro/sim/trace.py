@@ -18,15 +18,13 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-
-from repro.util.compat import SLOTTED
 from typing import Any, Deque, Iterable, List, Optional, Sequence, Tuple
 
 from repro.omni.messages import Envelope
 from repro.sim.network import SimNetwork
 
 
-@dataclass(frozen=True, **SLOTTED)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One sent (or dropped) message.
 

@@ -37,14 +37,19 @@ from repro.sim.harness import PROTOCOLS
 SMOKE_PROTOCOLS = PROTOCOLS
 
 
-def _registry_for(path):
-    """An enabled registry exporting to ``path`` (None -> no-op default)."""
+def _run_exporting(schedule: ChaosSchedule, path, **kwargs) -> ChaosResult:
+    """Run ``schedule``; given a ``path``, trace the run and export its
+    events and closing metrics snapshot there as JSON-lines."""
     if path is None:
-        return None
+        return run_schedule(schedule, **kwargs)
     reg = MetricsRegistry()
     reg.enable_tracing()
-    reg.add_sink(JsonLinesSink(path))
-    return reg
+    sink = JsonLinesSink(path)
+    reg.add_sink(sink)
+    try:
+        return run_schedule(schedule, obs=reg, **kwargs)
+    finally:
+        sink.close(reg)
 
 
 def _print_result(schedule: ChaosSchedule, result: ChaosResult,
@@ -72,7 +77,7 @@ def cmd_run(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(schedule.to_json() + "\n")
-    result = run_schedule(schedule, obs=_registry_for(args.obs))
+    result = _run_exporting(schedule, args.obs)
     _print_result(schedule, result, args.verbose)
     return 0 if result.ok else 1
 
@@ -80,7 +85,7 @@ def cmd_run(args) -> int:
 def cmd_replay(args) -> int:
     with open(args.schedule) as fh:
         schedule = ChaosSchedule.from_json(fh.read())
-    result = run_schedule(schedule, obs=_registry_for(args.obs))
+    result = _run_exporting(schedule, args.obs)
     _print_result(schedule, result, args.verbose)
     return 0 if result.ok else 1
 
@@ -100,7 +105,7 @@ def cmd_shrink(args) -> int:
           f"in {runs} runs")
     for op in shrunk.ops:
         print(f"  {describe_op(op)}")
-    result = run_schedule(shrunk, obs=_registry_for(args.obs))
+    result = _run_exporting(shrunk, args.obs)
     _print_result(shrunk, result, verbose=False)
     return 0
 
@@ -142,11 +147,8 @@ def cmd_smoke(args) -> int:
                     # includes the full event export (deterministic
                     # replay) plus the flight-recorder dump of the final
                     # moments before the violation.
-                    run_schedule(
-                        schedule,
-                        obs=_registry_for(base + ".events.jsonl"),
-                        flight_path=base + ".flight.jsonl",
-                    )
+                    _run_exporting(schedule, base + ".events.jsonl",
+                                   flight_path=base + ".flight.jsonl")
     if failures:
         print(f"{failures} failing schedule(s)", file=sys.stderr)
         return 1

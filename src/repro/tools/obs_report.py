@@ -11,12 +11,10 @@
     repro-obs series run.jsonl --window-ms 250      # sparkline lanes
     repro-obs diff a.jsonl b.jsonl                  # regression verdicts
 
-The bare legacy form ``repro-obs run.jsonl`` still works and means
-``report``. The numbers match the harness's own trackers exactly: both
-the report and the timeline feed the exported ``ClientReplyDecided``
-timestamps through the same :class:`~repro.sim.metrics.DecidedTracker`
-the benchmarks use. ``diff`` exits non-zero when any metric family
-regressed, so it gates CI directly.
+The numbers match the harness's own trackers exactly: both the report
+and the timeline feed the exported ``ClientReplyDecided`` timestamps
+through the same :class:`~repro.sim.metrics.DecidedTracker` the
+benchmarks use. ``diff`` exits non-zero when any metric family regressed.
 """
 
 from __future__ import annotations
@@ -32,8 +30,6 @@ from repro.obs.series import (diff_series, render_diff, series_from_events,
 from repro.obs.spans import SPAN_KINDS, assemble_spans
 from repro.obs.timeline import render_spans, render_timeline
 from repro.obs.watch import DEMO_SCENARIOS, watch_demo, watch_export
-
-COMMANDS = ("report", "timeline", "spans", "watch", "series", "diff")
 
 
 def _add_window_args(parser: argparse.ArgumentParser) -> None:
@@ -215,7 +211,7 @@ def _cmd_watch(args) -> int:
             out=sys.stdout,
         )
         # The demo *must* catch the belief/truth gap right after the
-        # netsplit; zero means the health layer is broken (CI greps this).
+        # netsplit; zero means the health layer is broken.
         return 0 if disagreements > 0 else 1
     if args.path is None:
         print("watch needs an export path (or --demo <scenario>)",
@@ -280,12 +276,6 @@ def _cmd_diff(args) -> int:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = list(argv)
-    # Legacy form: `repro-obs run.jsonl [...]` means `repro-obs report ...`.
-    if argv and argv[0] not in COMMANDS and not argv[0].startswith("-"):
-        argv.insert(0, "report")
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:

@@ -13,7 +13,7 @@ DOCS = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md",
 
 MODULE_RE = re.compile(r"`(repro(?:\.[a-z_]+)+)`")
 PATH_RE = re.compile(
-    r"`((?:src|tests|benchmarks|examples|docs)/[A-Za-z0-9_./-]+\.(?:py|md))`"
+    r"`((?:src|tests|benchmarks|examples|docs)/[A-Za-z0-9_./-]+\.(?:py|md|json))`"
 )
 
 # Docs whose fenced code blocks show runnable `repro-*` command lines.

@@ -18,6 +18,7 @@ import random
 
 import pytest
 
+from repro.baselines.vr import VRConfig, VRReplica
 from repro.chaos.checker import DecidedLogChecker, command_validator
 from repro.obs.registry import MetricsRegistry
 from repro.omni.entry import Command
@@ -143,6 +144,63 @@ def test_negative_control_a_barrier_that_does_not_sync_loses_entries():
     checker, acked, servers = run_power_cut_schedule(3, seed=15,
                                                      storage_cls=NeverSyncs)
     assert not checker.ok or lost_acknowledged(acked, servers)
+
+
+def lost_to_a_vr_power_cut(storage_cls):
+    """Three VR servers pumped by hand — bursts at the leader, every
+    hand-out delivered — then the power goes everywhere at once with one
+    more burst handed out and not yet delivered. Returns how many entries
+    there were and the ``(pid, index)`` of each one some ``take_decided()``
+    returned that the server's own storage no longer proves decided."""
+    pids = (1, 2, 3)
+    storages = {p: storage_cls(InMemoryStorage()) for p in pids}
+    replicas = {p: VRReplica(VRConfig(pid=p, servers=pids, initial_leader=1),
+                             storages[p]) for p in pids}
+    returned = {p: [] for p in pids}
+
+    def hand_out():
+        sent = [(p, dst, msg) for p in pids
+                for dst, msg in replicas[p].take_outbox()]
+        for p in pids:
+            returned[p] += replicas[p].take_decided()
+        return sent
+
+    def pump():
+        sent = hand_out()
+        while sent:
+            for src, dst, msg in sent:
+                replicas[dst].on_message(src, msg, 0.0)
+            sent = hand_out()
+
+    for replica in replicas.values():
+        replica.start(0.0)
+    pump()
+    assert replicas[1].is_leader
+    for burst in range(6):
+        replicas[1].propose_batch(
+            [Command(b"v", 1, 4 * burst + i) for i in range(4)], 0.0)
+        if burst < 5:
+            pump()
+    assert hand_out(), "the last burst left the leader and is in flight"
+    for storage in storages.values():
+        storage.power_cut()
+    lost = [(p, idx) for p in pids for idx, entry in returned[p]
+            if storages[p].get_decided_idx() <= idx
+            or storages[p].get_entries(idx, idx + 1) != (entry,)]
+    return sum(map(len, returned.values())), lost
+
+
+def test_vr_hands_out_nothing_ahead_of_the_disk():
+    """VR rides Sequence Paxos on a ``Storage``, so it owes the barrier
+    ``OmniPaxosServer`` keeps: sync before anything leaves."""
+    returned, lost = lost_to_a_vr_power_cut(FaultyStorage)
+    assert returned == 3 * 20, "every server decided the delivered bursts"
+    assert lost == []
+
+
+def test_vr_negative_control_without_sync_the_cut_loses_entries():
+    returned, lost = lost_to_a_vr_power_cut(NeverSyncs)
+    assert returned == 3 * 20 and lost
 
 
 class CountingStorage(InMemoryStorage):

@@ -218,6 +218,7 @@ class TestWatchCli:
         assert int(marker[0].split("=")[1]) > 0
         # The dashboard frames made it to stdout.
         assert "connectivity matrix" in out
+        assert "disagrees with ground truth" in out
         assert "quiesced" in out
 
     def test_watch_export_renders_matrix(self, tmp_path, capsys):

@@ -4,8 +4,11 @@
 one-server cluster); the messages that replicate what was appended are
 built by the next ``take_outbox()``: one ``AcceptDecide`` (Raft: one
 ``AppendEntries``, Multi-Paxos: one ``P2a``) per follower, however many
-proposals came in between.
+proposals came in between. How often that is belongs to the driver: the
+simulator hands out after every call, the runtime once per loop turn.
 """
+
+import asyncio
 
 from repro.baselines.multipaxos import (
     MultiPaxosConfig,
@@ -20,8 +23,15 @@ from repro.omni.messages import AcceptDecide, AcceptSync, Promise
 from repro.omni.sequence_paxos import Phase
 from repro.omni.server import ClusterConfig, OmniPaxosConfig, OmniPaxosServer
 from repro.omni.storage import InMemoryStorage
+from repro.obs.registry import MetricsRegistry
+from repro.replica import Replica
+from repro.runtime import RuntimeNode
+from repro.sim.cluster import SimCluster
+from repro.sim.events import EventQueue
+from repro.sim.network import NetworkParams, SimNetwork
 
 from tests.test_sequence_paxos import Shuttle, cmd, make_sp
+from tests.test_wire_runtime import make_addrs, wait_for
 
 K = 5
 
@@ -195,3 +205,113 @@ def test_server_crashed_before_the_handout_hands_out_nothing_unsynced():
     leader.crash()
     assert leader.take_outbox() == []
     assert syncs == []
+
+
+class Forwarding(Replica):
+    """A proxy in the style of the benchmark's ``TimedReplica``: it
+    overrides the abstract methods and nothing else, forwards each to the
+    replica it wraps, and keeps every hand-out."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.handouts = []
+
+    pid = property(lambda self: self.inner.pid)
+    members = property(lambda self: self.inner.members)
+    is_leader = property(lambda self: self.inner.is_leader)
+    leader_pid = property(lambda self: self.inner.leader_pid)
+
+    def start(self, now_ms):
+        self.inner.start(now_ms)
+
+    def tick(self, now_ms):
+        self.inner.tick(now_ms)
+
+    def on_message(self, src, msg, now_ms):
+        self.inner.on_message(src, msg, now_ms)
+
+    def propose(self, entry, now_ms):
+        self.inner.propose(entry, now_ms)
+
+    def take_outbox(self):
+        self.handouts.append(self.inner.take_outbox())
+        return self.handouts[-1]
+
+    def take_decided(self):
+        return self.inner.take_decided()
+
+    def replicated(self):
+        """Entries per ``AcceptDecide``, by follower, over every hand-out."""
+        sizes = {}
+        for outbox in self.handouts:
+            for dst, msg in accept_decides((d, e.payload) for d, e in outbox):
+                sizes.setdefault(dst, []).append(len(msg.entries))
+        return sizes
+
+
+def forwarding_trio(hb_period_ms):
+    cluster = ClusterConfig(0, (1, 2, 3))
+    return {pid: Forwarding(OmniPaxosServer(OmniPaxosConfig(
+        pid=pid, cluster=cluster, hb_period_ms=hb_period_ms,
+        initial_leader=1))) for pid in cluster.servers}
+
+
+def test_sim_driver_hands_out_after_every_call():
+    queue = EventQueue()
+    proxies = forwarding_trio(hb_period_ms=50.0)
+    sim = SimCluster(proxies, SimNetwork(queue, NetworkParams(one_way_ms=0.1)),
+                     queue, tick_ms=5.0)
+    sim.start()
+    sim.run_for(200.0)
+    (leader,) = sim.leaders()
+    del proxies[leader].handouts[:]
+    for i in range(K):
+        sim.propose(leader, cmd(i))
+    assert proxies[leader].replicated() == {
+        pid: [1] * K for pid in proxies if pid != leader}
+
+
+def test_runtime_driver_hands_out_once_per_loop_turn():
+    """The same K proposals, issued without yielding to the loop, leave a
+    ``RuntimeNode`` as one message per follower — through a proxy that
+    leaves the optional hooks at what ``Replica`` declares, on a node
+    that calls all three (registry, series sampling, link pings)."""
+    proxies = forwarding_trio(hb_period_ms=40.0)
+    reg = MetricsRegistry()
+
+    async def scenario():
+        addrs = make_addrs(list(proxies))
+        nodes = {p: RuntimeNode(
+            proxy, addrs[p], {q: a for q, a in addrs.items() if q != p},
+            tick_ms=5.0, obs=reg if p == 1 else None,
+            ping_interval_ms=20.0 if p == 1 else None)
+            for p, proxy in proxies.items()}
+        for node in nodes.values():
+            await node.start()
+        collector = nodes[1].attach_series(window_ms=50.0)
+        try:
+            # Leadership moves once or twice while peers are still
+            # dialling; whoever leads after ten heartbeat rounds stays.
+            await wait_for(lambda: all(
+                len(n.connected_peers) == 2 for n in nodes.values())
+                and len({n.leader_pid for n in nodes.values()}) == 1
+                and proxies[1].inner.status()["hb_round"] >= 10
+                and len(nodes[1].status()["link_rtt_ms"]) == 2)
+            leader = nodes[nodes[1].leader_pid]
+            del proxies[leader.pid].handouts[:]
+            for i in range(K):
+                leader.propose(cmd(i))
+            await wait_for(lambda: all(
+                p.inner.global_log_len == K for p in proxies.values()))
+        finally:
+            for node in nodes.values():
+                await node.stop()
+        return leader.pid, collector.finish()
+
+    leader, windows = asyncio.run(scenario())
+    assert proxies[leader].replicated() == {
+        pid: [K] for pid in proxies if pid != leader}
+    assert proxies[1].obs is reg and proxies[1].inner.obs is not reg
+    assert proxies[1].queue_depths() == {}
+    assert proxies[1].gray_detector is None
+    assert len(windows) > 5, "the node sampled its series every tick"

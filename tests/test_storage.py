@@ -103,6 +103,24 @@ class TestVariables:
         with pytest.raises(StorageError):
             storage.set_decided_idx(1)
 
+    @pytest.mark.parametrize("call", [
+        lambda backend: backend._reset_log_to(-5),
+        lambda backend: backend._reset_log_to(1),
+        lambda backend: backend.install_snapshot({}, -3),
+        lambda backend: backend.set_decided_idx(10),
+    ], ids=["reset-negative", "reset-below-decided", "snapshot-negative",
+            "decided-past-the-log"])
+    def test_out_of_range_index_refused_and_nothing_changes(self, storage,
+                                                            call):
+        storage.append_entries(["a", "b", "c"])
+        storage.set_decided_idx(2)
+        before = snapshot_state(storage)
+        with pytest.raises(StorageError):
+            call(storage)
+        assert snapshot_state(storage) == before
+        assert storage.compacted_idx() == 0
+        assert storage.get_snapshot() is None
+
     def test_snapshot_state(self, storage):
         storage.append_entries(["a"])
         state = snapshot_state(storage)
@@ -484,10 +502,14 @@ class TestUndecodableRecords:
         (b"\x01\x07\x01\x03\x02", "refusing to truncate decided"),
         (b"\x04\x07\x01\x03\x02", "decided index must be monotone"),
         (b"\x05\x07\x01\x03\x0a", "cannot compact undecided"),
+        (b"\x07\x07\x01\x03\x09", "cannot reset the log below the decided"),
+        (b"\x06\x07\x02\x0a\x00\x03\x05", "negative snapshot index: -3"),
+        (b"\x04\x07\x01\x03\x14", "decided past the log: 10 > 2"),
     ], ids=["record-tag", "value-tag", "tag-0x08", "trailing", "not-a-tuple",
             "count", "int-type", "ballot-type", "entries-type", "short-value",
             "unhashable-key", "truncate-decided", "decided-backwards",
-            "compact-undecided"])
+            "compact-undecided", "reset-negative", "snapshot-negative",
+            "decided-past-the-log"])
     def test_open_raises_storage_error_with_the_offset(self, tmp_path, body,
                                                        why):
         content = PREFIX + self.GOOD + framed(body) + self.GOOD

@@ -1,9 +1,8 @@
 """End-to-end tests: traced scenario export -> repro-obs timeline/spans.
 
-Runs the tracing smoke tool (a short quorum-loss scenario with causal
-tracing on), then drives the ``repro-obs`` CLI over the export — the same
-pipeline the CI smoke job runs — and checks the acceptance criterion that
-the reconstructed down-time window matches the harness's own
+Runs a short quorum-loss scenario with causal tracing on, then drives
+the ``repro-obs`` CLI over the export and checks the acceptance criterion
+that the reconstructed down-time window matches the harness's own
 :class:`DecidedTracker` measurement.
 """
 
@@ -11,47 +10,46 @@ import re
 
 import pytest
 
-from repro.obs.exporters import read_jsonl
+from repro.obs.exporters import JsonLinesSink, read_jsonl
+from repro.obs.registry import MetricsRegistry
 from repro.obs.report import decided_tracker_from_events
 from repro.obs.spans import SPAN_COMMIT, assemble_spans
 from repro.obs.timeline import render_spans, render_timeline
-from repro.tools import obs_report, trace_smoke
+from repro.sim.scenarios import run_partition_scenario
+from repro.tools import obs_report
 
 ELECTION_TIMEOUT_MS = 50.0
 
 
 @pytest.fixture(scope="module")
 def smoke(tmp_path_factory):
-    """One traced quorum-loss run: (export path, smoke-tool stdout dict)."""
-    path = tmp_path_factory.mktemp("trace") / "smoke.jsonl"
-    import io
-    import contextlib
-
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = trace_smoke.main([
-            str(path),
-            "--election-timeout-ms", str(ELECTION_TIMEOUT_MS),
-            "--partition-ms", "1000",
-            "--warmup-ms", "500",
-            "--cooldown-ms", "500",
-        ])
-    assert code == 0
-    printed = dict(
-        line.split("=", 1) for line in buf.getvalue().splitlines()
-    )
-    return str(path), printed
+    """One traced quorum-loss run: (export path, ScenarioResult)."""
+    path = str(tmp_path_factory.mktemp("trace") / "smoke.jsonl")
+    reg = MetricsRegistry()
+    reg.enable_tracing()
+    sink = JsonLinesSink(path)
+    reg.add_sink(sink)
+    try:
+        result = run_partition_scenario(
+            "omni", "quorum_loss",
+            election_timeout_ms=ELECTION_TIMEOUT_MS,
+            partition_duration_ms=1000.0, warmup_ms=500.0, cooldown_ms=500.0,
+            obs=reg,
+        )
+    finally:
+        sink.close(reg)
+    return path, result
 
 
 class TestTraceSmokeTool:
     def test_export_holds_span_events(self, smoke):
-        path, printed = smoke
+        path, result = smoke
         events, metrics = read_jsonl(path)
         kinds = {r.event.kind for r in events}
         assert {"ProposalAppended", "QuorumAccepted", "EntryApplied",
                 "ClientProposalSent", "ClientReplyDecided"} <= kinds
         assert metrics  # the snapshot was appended on close
-        assert printed["scenario"] == "quorum_loss"
+        assert result.scenario == "quorum_loss"
 
     def test_commit_spans_reconstruct(self, smoke):
         path, _ = smoke
@@ -75,9 +73,8 @@ class TestTimelineCli:
         assert re.search(r"decided  \|.*[.#+:].*\|", out)
 
     def test_downtime_matches_harness_tracker(self, smoke, capsys):
-        path, printed = smoke
-        start = float(printed["partition_at_ms"])
-        end = float(printed["partition_end_ms"])
+        path, result = smoke
+        start, end = result.partition_at_ms, result.partition_end_ms
         assert obs_report.main([
             "timeline", path, "--start-ms", str(start), "--end-ms", str(end),
         ]) == 0
@@ -85,21 +82,20 @@ class TestTimelineCli:
         m = re.search(r"longest down-time: ([0-9.]+) ms", out)
         assert m
         reconstructed = float(m.group(1))
-        harness = float(printed["downtime_ms"])
+        harness = result.downtime_ms
         # Same DecidedTracker, same window: identical up to print rounding
         # (the criterion allows one heartbeat; we land far inside it).
         assert abs(reconstructed - harness) < ELECTION_TIMEOUT_MS
         assert reconstructed == pytest.approx(harness, abs=0.05)
 
     def test_downtime_window_is_exact_against_tracker(self, smoke):
-        path, printed = smoke
+        path, result = smoke
         events, _ = read_jsonl(path)
-        start = float(printed["partition_at_ms"])
-        end = float(printed["partition_end_ms"])
+        start, end = result.partition_at_ms, result.partition_end_ms
         tracker = decided_tracker_from_events(events)
         gap_start, gap_end = tracker.downtime_window(start, end)
         assert gap_end - gap_start == pytest.approx(
-            float(printed["downtime_ms"]), abs=1e-6)
+            result.downtime_ms, abs=1e-6)
 
     def test_spans_subcommand(self, smoke, capsys):
         path, _ = smoke
@@ -119,11 +115,14 @@ class TestTimelineCli:
         assert "p99 commit" in out
         assert "replicate" in out
 
-    def test_legacy_report_form_still_works(self, smoke, capsys):
-        path, _ = smoke
-        assert obs_report.main([path]) == 0
-        out = capsys.readouterr().out
-        assert "throughput" in out
+    @pytest.mark.parametrize("argv", [["run.jsonl"], ["nosuchview", "x"]],
+                             ids=["bare-path", "unknown-view"])
+    def test_unknown_first_word_is_a_usage_error(self, argv, capsys):
+        # No rewriting to `report`: a deleted or misspelt view must fail.
+        with pytest.raises(SystemExit) as exit_info:
+            obs_report.main(argv)
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_report_subcommand(self, smoke, capsys):
         path, _ = smoke
