@@ -111,13 +111,15 @@ def bench_network_send(n_sends: int, num_servers: int = 5,
 
 
 def _drive_commit_loop(n_batches: int, batch_entries: int, seed: int,
-                       obs: Any = None, series: bool = False) -> Dict[str, Any]:
+                       obs: Any = None,
+                       sample_queues: bool = False) -> Dict[str, Any]:
     """One 3-server omni run: a batch at the leader per virtual ms."""
     cfg = ExperimentConfig(protocol="omni", num_servers=3,
                            election_timeout_ms=100.0, one_way_ms=0.1,
                            seed=seed, initial_leader=1)
     exp = build_experiment(cfg, obs=obs)
-    collector = exp.attach_series(window_ms=100.0) if series else None
+    if sample_queues:
+        exp.attach_queue_sampler(sample_ms=20.0)
     digest = LogDigest()
     decided_at_leader = 0
 
@@ -146,8 +148,6 @@ def _drive_commit_loop(n_batches: int, batch_entries: int, seed: int,
         "decided_log_digest": digest.hexdigest(),
         "events_processed": exp.queue.processed,
         "messages_sent": exp.network.messages_sent,
-        "series_windows": (len(collector.finish(exp.queue.now))
-                           if collector is not None else 0),
     }
 
 
@@ -172,28 +172,31 @@ def bench_obs_overhead(n_batches: int, batch_entries: int,
     Runs the commit-loop workload three times — with the null registry
     (the disabled path every production-off run takes), with an enabled
     registry carrying the health observatory (connectivity monitor +
-    flight recorder sinks), and with that plus the windowed series engine
-    and queue-depth profiler (``Experiment.attach_series``). The
+    flight recorder sinks), and with that plus the queue-depth sampler
+    (``Experiment.attach_queue_sampler``) and a ``MemorySink`` whose
+    records are windowed afterwards (``series_windows``). The
     decided-log digests of all three runs MUST be identical
     (``digests_identical``): turning observability on may cost time but
     can never change what gets decided.
     """
+    from repro.obs.exporters import MemorySink
     from repro.obs.flight import FlightRecorder
     from repro.obs.health import HealthMonitor
     from repro.obs.registry import MetricsRegistry
+    from repro.obs.series import series_from_events
 
-    def drive_enabled(series: bool):
+    def drive_enabled(sample_queues: bool):
         registry = MetricsRegistry()
-        monitor, recorder = HealthMonitor(), FlightRecorder()
-        registry.add_sink(monitor)
-        registry.add_sink(recorder)
+        sinks = HealthMonitor(), FlightRecorder(), MemorySink()
+        for sink in sinks:
+            registry.add_sink(sink)
         run = _drive_commit_loop(n_batches, batch_entries, seed,
-                                 obs=registry, series=series)
-        return run, monitor, recorder
+                                 obs=registry, sample_queues=sample_queues)
+        return (run, *sinks)
 
     off = _drive_commit_loop(n_batches, batch_entries, seed)
-    health, _, _ = drive_enabled(series=False)
-    on, monitor, recorder = drive_enabled(series=True)
+    health = drive_enabled(sample_queues=False)[0]
+    on, monitor, recorder, memory = drive_enabled(sample_queues=True)
     return {
         "decided_entries": on["decided_entries"],
         "decided_log_digest": on["decided_log_digest"],
@@ -204,7 +207,7 @@ def bench_obs_overhead(n_batches: int, batch_entries: int,
         "events_processed_on": on["events_processed"],
         "health_reporters": len(monitor.matrix.views),
         "flight_retained": len(recorder),
-        "series_windows": on["series_windows"],
+        "series_windows": len(series_from_events(memory.records, 100.0)),
     }
 
 

@@ -60,14 +60,11 @@ from repro.obs.events import (
 from repro.obs.prof import (
     PathAttribution,
     attribute_commit_paths,
-    dominant_phase_by_window,
     sample_queue_depths,
 )
 from repro.obs.series import (
-    SeriesCollector,
     SeriesWindow,
     diff_series,
-    read_series,
     render_diff,
     series_from_events,
     series_lanes,
@@ -76,7 +73,6 @@ from repro.obs.exporters import (
     JsonLinesSink,
     MemorySink,
     read_jsonl,
-    render_prometheus,
 )
 from repro.obs.registry import (
     NULL_REGISTRY,
@@ -93,7 +89,6 @@ from repro.obs.spans import (
     TraceContext,
     assemble_spans,
     entry_trace_id,
-    observe_span_histograms,
     span_quantile,
 )
 from repro.obs.timeline import render_spans, render_timeline
@@ -127,7 +122,6 @@ __all__ = [
     "RoleChanged",
     "RunReport",
     "SPAN_KINDS",
-    "SeriesCollector",
     "SeriesWindow",
     "SessionDropped",
     "Span",
@@ -136,15 +130,11 @@ __all__ = [
     "assemble_spans",
     "attribute_commit_paths",
     "diff_series",
-    "dominant_phase_by_window",
     "entry_trace_id",
     "event_from_dict",
     "event_to_dict",
-    "observe_span_histograms",
     "read_jsonl",
-    "read_series",
     "render_diff",
-    "render_prometheus",
     "render_spans",
     "render_timeline",
     "sample_queue_depths",

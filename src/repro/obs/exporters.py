@@ -1,15 +1,12 @@
 """Pluggable exporters for the observability layer.
 
-Three sinks/renderers cover the evaluation workflows:
+Two sinks cover the evaluation workflows:
 
 - :class:`MemorySink` — in-memory event store with the filters tests and
   benchmarks need (by kind, by time window),
 - :class:`JsonLinesSink` — streams events to a ``.jsonl`` file and appends
   a metrics snapshot on close; :func:`read_jsonl` round-trips the file for
-  the ``repro-obs`` report CLI,
-- :func:`render_prometheus` — Prometheus text exposition format
-  (counters, gauges, histograms with cumulative ``_bucket`` series), for
-  scraping a live :class:`~repro.runtime.node.RuntimeNode`.
+  the ``repro-obs`` report CLI.
 
 Sinks implement a single method ``record(EventRecord)`` — anything with
 that shape can be registered via ``MetricsRegistry.add_sink``.
@@ -74,15 +71,6 @@ class JsonLinesSink:
         """Append one line per instrument with its current value."""
         for line in metrics_snapshot(registry):
             self._fh.write(json.dumps(line, sort_keys=True) + "\n")
-
-    def write_series(self, windows: Iterable[Any]) -> None:
-        """Append one ``{"t": "series", ...}`` line per
-        :class:`~repro.obs.series.SeriesWindow`, so one export carries the
-        run's windowed time series next to its events and metrics (read
-        back with :func:`repro.obs.series.read_series`)."""
-        from repro.obs.series import series_to_jsonl
-        for line in series_to_jsonl(windows):
-            self._fh.write(line + "\n")
 
     def close(self, registry: Optional[MetricsRegistry] = None) -> None:
         """Optionally snapshot ``registry``, then flush (and close the file
@@ -155,80 +143,6 @@ def read_jsonl(
             events.append(event_from_dict(payload))
         elif tag == "metric":
             metrics.append(payload)
-        elif tag == "series":
-            # Windowed time-series lines ride alongside events/metrics;
-            # repro.obs.series.read_series parses them.
-            continue
         else:
             raise ConfigError(f"unknown JSON-lines record tag {tag!r}")
     return events, metrics
-
-
-# --------------------------------------------------------------------------
-# Prometheus text exposition format
-# --------------------------------------------------------------------------
-
-def _fmt_labels(labels, extra: Optional[Tuple[str, str]] = None) -> str:
-    pairs = [(str(k), str(v)) for k, v in labels]
-    if extra is not None:
-        pairs.append(extra)
-    if not pairs:
-        return ""
-    rendered = ",".join(f'{k}="{_escape(v)}"' for k, v in pairs)
-    return "{" + rendered + "}"
-
-
-def _escape(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def _fmt_value(value: float) -> str:
-    value = float(value)
-    if value != value:  # NaN (the format spells it exactly "NaN")
-        return "NaN"
-    if value == float("inf"):
-        return "+Inf"
-    if value == float("-inf"):
-        return "-Inf"
-    if value.is_integer():
-        return str(int(value))
-    return repr(value)
-
-
-def render_prometheus(registry: MetricsRegistry) -> str:
-    """The registry's current state in Prometheus text format 0.0.4.
-
-    Strictly conformant output: one ``# TYPE`` line per metric family
-    before its samples, escaped label values, and for histograms
-    *cumulative* ``le`` buckets ending in exactly one ``+Inf`` bucket
-    that equals the ``_count`` sample, plus ``_sum``/``_count`` lines.
-    """
-    by_name: Dict[str, List[Any]] = {}
-    for metric in registry.metrics():
-        by_name.setdefault(metric.name, []).append(metric)
-    lines: List[str] = []
-    for name, metrics in by_name.items():
-        kind = metrics[0]
-        if isinstance(kind, Counter):
-            lines.append(f"# TYPE {name} counter")
-            for m in metrics:
-                lines.append(f"{name}{_fmt_labels(m.labels)} {_fmt_value(m.value)}")
-        elif isinstance(kind, Gauge):
-            lines.append(f"# TYPE {name} gauge")
-            for m in metrics:
-                lines.append(f"{name}{_fmt_labels(m.labels)} {_fmt_value(m.value)}")
-        elif isinstance(kind, Histogram):
-            lines.append(f"# TYPE {name} histogram")
-            for m in metrics:
-                cumulative = 0
-                for bound, count in m.nonempty_buckets():
-                    if bound == float("inf"):
-                        break  # the overflow bucket is the +Inf line below
-                    cumulative += count
-                    le = _fmt_labels(m.labels, ("le", _fmt_value(bound)))
-                    lines.append(f"{name}_bucket{le} {cumulative}")
-                le = _fmt_labels(m.labels, ("le", "+Inf"))
-                lines.append(f"{name}_bucket{le} {m.count}")
-                lines.append(f"{name}_sum{_fmt_labels(m.labels)} {_fmt_value(m.sum)}")
-                lines.append(f"{name}_count{_fmt_labels(m.labels)} {m.count}")
-    return "\n".join(lines) + ("\n" if lines else "")

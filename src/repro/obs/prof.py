@@ -7,10 +7,10 @@ Two halves, both feeding :mod:`repro.obs.series`:
   :class:`~repro.obs.events.QueueDepthSampled` events. The staging points
   (sim event heap, network in-flight set, server/SP outboxes, TCP write
   queues) expose their depths via ``len()``/``queue_depths()`` accessors;
-  the harness (:meth:`repro.sim.harness.Experiment.attach_series`) and the
-  runtime tick loop call this helper on a fixed cadence. Everything is
-  behind the caller's ``_obs_on``/enabled-registry guard, so digests stay
-  identical when observability is off.
+  the harness (:meth:`repro.sim.harness.Experiment.attach_queue_sampler`)
+  and the runtime tick loop call this helper on a fixed cadence.
+  Everything is behind the caller's ``_obs_on``/enabled-registry guard, so
+  digests stay identical when observability is off.
 
 - **Critical-path attribution** — :func:`attribute_commit_paths` walks the
   commit spans assembled by :mod:`repro.obs.spans` (PR 2) and joins them
@@ -178,32 +178,3 @@ def attributions_by_window(attributions: Iterable[PathAttribution],
         index = int((attribution.end_ms - start_ms) // window_ms)
         buckets.setdefault(index, []).append(attribution)
     return buckets
-
-
-def dominant_phase_by_window(attributions: Iterable[PathAttribution],
-                             window_ms: float,
-                             start_ms: float = 0.0) -> Dict[int, str]:
-    """Per-window dominant phase — the headline of the latency anatomy."""
-    return {
-        index: dominant_phase(bucket)
-        for index, bucket in attributions_by_window(
-            attributions, window_ms, start_ms).items()
-    }
-
-
-def describe_dominant(attributions: Sequence[PathAttribution]) -> str:
-    """One-line human verdict, e.g. ``replicate-bound (72% of 3.1ms mean
-    path) across 240 commits on p1``."""
-    attributions = list(attributions)
-    if not attributions:
-        return "no attributed commits"
-    totals = phase_totals(attributions)
-    grand = sum(totals.values())
-    name = dominant_phase(attributions)
-    share = totals[name] / grand if grand else 0.0
-    mean_ms = grand / len(attributions)
-    leaders = sorted({a.pid for a in attributions})
-    where = f"p{leaders[0]}" if len(leaders) == 1 else \
-        "p" + "/p".join(str(p) for p in leaders)
-    return (f"{name}-bound ({share:.0%} of {mean_ms:.2f}ms mean path) "
-            f"across {len(attributions)} commits on {where}")

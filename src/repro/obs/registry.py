@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.obs.events import EventRecord, ProtocolEvent
@@ -88,29 +88,6 @@ def _default_bounds() -> Tuple[float, ...]:
 _HDR_BOUNDS = _default_bounds()
 
 
-def quantile_from_counts(bounds: Tuple[float, ...], counts: Sequence[int],
-                         q: float, fallback: Optional[float] = None) -> float:
-    """Approximate ``q``-quantile from raw bucket counts (``counts`` has one
-    trailing overflow bucket past ``bounds``). Shared by
-    :meth:`Histogram.quantile` and the windowed series engine, which diffs
-    two bucket snapshots and rank-scans the delta for per-window
-    percentiles."""
-    if not 0.0 <= q <= 1.0:
-        raise ConfigError("quantile must be in [0, 1]")
-    total = sum(counts)
-    if total == 0:
-        return 0.0
-    rank = q * total
-    seen = 0
-    for i, n in enumerate(counts):
-        seen += n
-        if seen >= rank and n:
-            if i < len(bounds):
-                return bounds[i]
-            return fallback if fallback is not None else 0.0
-    return fallback if fallback is not None else 0.0
-
-
 class Histogram:
     """A fixed-bucket histogram with HDR-style geometric bounds."""
 
@@ -143,14 +120,19 @@ class Histogram:
 
     def quantile(self, q: float) -> float:
         """Approximate ``q``-quantile (bucket upper bound), q in [0, 1]."""
-        return quantile_from_counts(self.bounds, self.bucket_counts, q,
-                                    fallback=self.max)
-
-    def bucket_snapshot(self) -> Tuple[int, ...]:
-        """An immutable copy of the bucket counts. The series engine takes
-        one of these at each window boundary and rank-scans the delta, so
-        cumulative HDR histograms yield *per-window* percentiles."""
-        return tuple(self.bucket_counts)
+        if not 0.0 <= q <= 1.0:
+            raise ConfigError("quantile must be in [0, 1]")
+        if self.count == 0:
+            return 0.0
+        rank = q * self.count
+        seen = 0
+        for i, n in enumerate(self.bucket_counts):
+            seen += n
+            if seen >= rank and n:
+                if i < len(self.bounds):
+                    return self.bounds[i]
+                break
+        return self.max if self.max is not None else 0.0
 
     def nonempty_buckets(self) -> List[Tuple[float, int]]:
         """``(upper_bound, count)`` for buckets with observations

@@ -7,19 +7,10 @@ simulator, wall-time in the TCP runtime) and computes per-window metric
 jitter, queue-depth maxima, per-phase latency means — that diff cleanly
 across runs.
 
-Two ways to build a series:
-
-- :func:`series_from_events` — post-hoc, from any export's event records.
-  This is what ``repro-obs series`` / ``repro-obs diff`` use, so two
-  same-seed exports produce *identical* windows.
-- :class:`SeriesCollector` — live, attached as a registry sink plus a
-  periodic ``sample()`` driver (see ``Experiment.attach_series`` and
-  ``RuntimeNode.attach_series``). On top of the event-derived families it
-  snapshots every registered HDR histogram at window boundaries and
-  rank-scans the bucket *delta* for per-window percentiles
-  (``hist:<name>:p95``), and turns counter deltas into rates
-  (``rate:<name>``) — windowed views of the existing MetricsRegistry
-  instruments, not a parallel metrics system.
+One way to build a series: :func:`series_from_events`, from any list of
+event records — a ``MemorySink``'s or an export's — so a live run and its
+export, and two same-seed exports, produce *identical* windows. Nothing
+is windowed while the run is going.
 
 Window values are flat ``{family: float}`` maps with stable string keys
 (``commit_ms:p95``, ``queue:sp_outbox:max``) so window alignment and family
@@ -30,18 +21,15 @@ two runs of the same scenario align by window index.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.obs import prof
 from repro.obs.events import (ClientProposalSent, ClientReplyDecided,
                               EventRecord, HeartbeatViewReported,
                               QueueDepthSampled)
-from repro.obs.registry import Counter, Histogram, quantile_from_counts
 
 #: Families where larger is better; everything else (latencies, depths,
 #: jitter) regresses upward.
@@ -55,7 +43,7 @@ _PCTS: Tuple[Tuple[str, float], ...] = (("p50", 0.50), ("p95", 0.95),
 
 
 def higher_is_better(family: str) -> bool:
-    return family in RATE_FAMILIES or family.startswith("rate:")
+    return family in RATE_FAMILIES
 
 
 @dataclass(frozen=True)
@@ -73,29 +61,6 @@ class SeriesWindow:
     @property
     def width_ms(self) -> float:
         return self.end_ms - self.start_ms
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "index": self.index,
-            "start_ms": self.start_ms,
-            "end_ms": self.end_ms,
-            "values": dict(self.values),
-            "dominant_phase": self.dominant_phase,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "SeriesWindow":
-        try:
-            return cls(
-                index=int(payload["index"]),
-                start_ms=float(payload["start_ms"]),
-                end_ms=float(payload["end_ms"]),
-                values={str(k): float(v)
-                        for k, v in dict(payload.get("values", {})).items()},
-                dominant_phase=str(payload.get("dominant_phase", "")),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed series window record: {exc}") from exc
 
 
 def _pct(sorted_values: Sequence[float], q: float) -> float:
@@ -194,172 +159,6 @@ def series_from_events(events: Iterable[EventRecord], window_ms: float,
             dominant_phase=dominant,
         ))
     return out
-
-
-class SeriesCollector:
-    """Live windowed aggregation: a registry sink plus a ``sample()`` hook.
-
-    Attach with ``registry.add_sink(collector)`` so every emitted event is
-    captured, then call :meth:`sample` on a fixed cadence (the sim harness
-    schedules it on the event queue; the runtime calls it from the tick
-    loop). Each ``sample()`` that crosses a window boundary snapshots every
-    registered HDR histogram and counter and diffs against the previous
-    boundary, yielding *per-window* percentiles (``hist:<name>:p95``) and
-    rates (``rate:<name>``). Event-derived families are computed over the
-    retained event stream at :meth:`finish` with post-hoc semantics, so a
-    commit span that straddles a window boundary is still attributed to
-    the window its apply lands in — live and post-hoc series agree.
-
-    The collector consumes no randomness and only *reads* protocol state,
-    so decided-log digests are byte-identical with it attached."""
-
-    def __init__(self, registry, window_ms: float, start_ms: float = 0.0):
-        if window_ms <= 0:
-            raise ConfigError("window_ms must be positive")
-        self._registry = registry
-        self.window_ms = float(window_ms)
-        self.start_ms = float(start_ms)
-        self._next_end = self.start_ms + self.window_ms
-        self._events: List[EventRecord] = []
-        self._counter_prev: Dict[str, float] = {}
-        self._hist_prev: Dict[str, Tuple[int, ...]] = {}
-        #: hist:/rate: families per closed window index.
-        self._registry_values: List[Dict[str, float]] = []
-        self.windows: List[SeriesWindow] = []
-
-    # -- sink protocol ------------------------------------------------------
-    def record(self, rec: EventRecord) -> None:
-        self._events.append(rec)
-
-    @property
-    def closed_windows(self) -> int:
-        return len(self._registry_values)
-
-    # -- windowing ----------------------------------------------------------
-    def sample(self, now_ms: float) -> None:
-        """Close every window whose end ``now_ms`` has reached. Drive this
-        at least once per window width so histogram/counter deltas stay
-        aligned with the window grid."""
-        while now_ms >= self._next_end:
-            self._close_registry_window()
-
-    def finish(self, now_ms: Optional[float] = None) -> List[SeriesWindow]:
-        """Flush through ``now_ms`` (or the last recorded event), build the
-        event-derived families post-hoc, merge in the per-window registry
-        families, and return the full series."""
-        target = self.start_ms
-        if self._events:
-            target = max(rec.at_ms for rec in self._events)
-        if now_ms is not None:
-            target = max(target, now_ms)
-        self.sample(target)
-        if target > self.start_ms + self.closed_windows * self.window_ms:
-            self._close_registry_window()  # trailing partial window
-        closed = self.closed_windows
-        if not closed:
-            self.windows = []
-            return self.windows
-        end_ms = self.start_ms + closed * self.window_ms
-        built = series_from_events(self._events, self.window_ms,
-                                   start_ms=self.start_ms, end_ms=end_ms)
-        for window in built:
-            if window.index < len(self._registry_values):
-                window.values.update(self._registry_values[window.index])
-        self.windows = built
-        return self.windows
-
-    def _close_registry_window(self) -> None:
-        end = self._next_end
-        window_s = self.window_ms / 1000.0
-        values: Dict[str, float] = {}
-        hist_sums: Dict[str, List[int]] = {}
-        hist_bounds: Dict[str, Tuple[float, ...]] = {}
-        hist_max: Dict[str, float] = {}
-        counter_sums: Dict[str, float] = {}
-        for metric in self._registry.metrics():
-            if isinstance(metric, Histogram):
-                snap = metric.bucket_snapshot()
-                agg = hist_sums.get(metric.name)
-                if agg is None:
-                    hist_sums[metric.name] = list(snap)
-                    hist_bounds[metric.name] = metric.bounds
-                else:
-                    for i, n in enumerate(snap):
-                        agg[i] += n
-                if metric.max is not None:
-                    hist_max[metric.name] = max(
-                        hist_max.get(metric.name, 0.0), metric.max)
-            elif isinstance(metric, Counter):
-                counter_sums[metric.name] = (
-                    counter_sums.get(metric.name, 0.0) + metric.value)
-        for name, counts in hist_sums.items():
-            prev = self._hist_prev.get(name)
-            delta = [n - (prev[i] if prev else 0)
-                     for i, n in enumerate(counts)]
-            self._hist_prev[name] = tuple(counts)
-            if sum(delta) <= 0:
-                continue
-            for suffix, q in _PCTS:
-                values[f"hist:{name}:{suffix}"] = quantile_from_counts(
-                    hist_bounds[name], delta, q, fallback=hist_max.get(name))
-        for name, total in counter_sums.items():
-            prev = self._counter_prev.get(name, 0.0)
-            self._counter_prev[name] = total
-            values[f"rate:{name}"] = (total - prev) / window_s
-        self._registry_values.append(values)
-        self._publish_gauges(end, values)
-        self._next_end = end + self.window_ms
-
-    def _publish_gauges(self, end_ms: float, values: Mapping[str, float]) -> None:
-        """Mirror the latest closed window into gauges so a Prometheus
-        scrape (or ``repro-obs report``) sees the most recent window."""
-        start = end_ms - self.window_ms
-        decided = sum(
-            1 for rec in self._events
-            if start <= rec.at_ms < end_ms
-            and isinstance(rec.event, ClientReplyDecided))
-        gauge = self._registry.gauge("repro_series_window",
-                                     family="decided_per_s")
-        gauge.set(decided / (self.window_ms / 1000.0))
-        key = "hist:repro_propose_decide_latency_ms:p95"
-        if key in values:
-            self._registry.gauge("repro_series_window",
-                                 family="commit_ms:p95").set(values[key])
-
-
-# --------------------------------------------------------------------------
-# Export / import ("series" JSON-lines records alongside events + metrics)
-# --------------------------------------------------------------------------
-
-
-def series_to_jsonl(windows: Iterable[SeriesWindow]) -> List[str]:
-    """One sorted-key JSON line per window, tagged ``"t": "series"`` —
-    same framing as :class:`~repro.obs.exporters.JsonLinesSink` lines."""
-    out = []
-    for window in windows:
-        payload = window.to_dict()
-        payload["t"] = "series"
-        out.append(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    return out
-
-
-def read_series(source: Iterable[str]) -> List[SeriesWindow]:
-    """Parse the ``"t": "series"`` lines out of a JSON-lines export
-    (other record tags are ignored; see ``exporters.read_jsonl`` for the
-    event/metric halves)."""
-    windows: List[SeriesWindow] = []
-    for lineno, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"line {lineno}: not valid JSON: {exc}") from exc
-        if isinstance(payload, dict) and payload.get("t") == "series":
-            windows.append(SeriesWindow.from_dict(payload))
-    windows.sort(key=lambda w: w.index)
-    return windows
 
 
 # --------------------------------------------------------------------------

@@ -395,23 +395,6 @@ def assemble_spans(events: Sequence[EventRecord],
     return spans
 
 
-def observe_span_histograms(spans: Sequence[Span], registry: Any) -> None:
-    """Feed span (and commit-phase) durations into registry histograms.
-
-    Populates ``repro_span_duration_ms{kind=...}`` for every span and
-    ``repro_commit_phase_ms{phase=...}`` for commit-span phases, making
-    post-hoc span analysis exportable through the same Prometheus /
-    snapshot machinery as live metrics.
-    """
-    for span in spans:
-        registry.histogram("repro_span_duration_ms",
-                           kind=span.kind).observe(span.duration_ms)
-        if span.kind == SPAN_COMMIT:
-            for phase, duration in span.phase_durations():
-                registry.histogram("repro_commit_phase_ms",
-                                   phase=phase).observe(duration)
-
-
 def span_quantile(spans: Sequence[Span], q: float) -> Optional[Span]:
     """The span at the ``q``-quantile of duration (None when empty)."""
     if not spans:

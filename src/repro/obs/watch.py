@@ -3,58 +3,42 @@
 Renders a :class:`~repro.obs.health.HealthMonitor` snapshot — the N×N
 believed-connectivity matrix, a leader/ballot lane per server, replication
 lag bars, and the gray-failure verdicts — as a fixed-width text panel.
-Three entry points share the renderer:
+Two entry points share the renderer:
 
-- :func:`render_dashboard` — one frame from a monitor (plus optional
-  ground truth, which marks matrix cells that *disagree* with the actual
-  link state with ``!`` and prints the disagreement count),
+- :func:`render_dashboard` — one frame from a monitor,
 - :func:`watch_export` — replay an exported ``.jsonl`` file into a
-  monitor and render the state as of ``--at-ms`` (post-mortem mode),
-- :func:`watch_demo` — run a short partitioned simulation live and render
-  before/during/after frames with ground truth, which is both the worked
-  example in the docs and the CI smoke (the during-partition frame must
-  show disagreements while stale views lag the netsplit).
+  monitor and render the state as of ``--at-ms`` (post-mortem mode).
+
+An export does not carry the network's actual link state, so the frame
+shows beliefs only; comparing them with ground truth in a simulation is
+:func:`repro.obs.health.matrix_disagreements`.
 """
 
 from __future__ import annotations
 
-import io
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.obs.events import EventRecord
-from repro.obs.health import (
-    GroundTruth,
-    HealthMonitor,
-    ground_truth_from_network,
-    matrix_disagreements,
-)
-from repro.obs.registry import MetricsRegistry
+from repro.obs.health import HealthMonitor
 
 #: Matrix cell glyphs: believed up / believed down / never reported.
 GLYPH_UP = "#"
 GLYPH_DOWN = "."
 GLYPH_UNKNOWN = "?"
 GLYPH_SELF = "\\"
-#: Appended to a cell whose belief contradicts ground truth.
-GLYPH_DISAGREE = "!"
 
 LAG_BAR_WIDTH = 20
 
 
 def _matrix_lines(monitor: HealthMonitor,
-                  truth: Optional[GroundTruth],
                   now_ms: Optional[float]) -> List[str]:
     matrix = monitor.matrix
     pids = matrix.pids()
-    if truth is not None:
-        pids = tuple(sorted(set(pids) | {p for pair in truth for p in pair}))
     if not pids:
         return ["  (no heartbeat views reported yet)"]
     lines = ["  connectivity matrix (rows report, cols are peers; "
-             f"{GLYPH_UP} up  {GLYPH_DOWN} down  {GLYPH_UNKNOWN} unknown"
-             + (f"  {GLYPH_DISAGREE} disagrees with ground truth" if truth
-                is not None else "") + ")"]
+             f"{GLYPH_UP} up  {GLYPH_DOWN} down  {GLYPH_UNKNOWN} unknown)"]
     header = "       " + " ".join(f"{b:>3d}" for b in pids)
     lines.append(header)
     for a in pids:
@@ -66,13 +50,7 @@ def _matrix_lines(monitor: HealthMonitor,
             believed = matrix.believes_up(a, b)
             glyph = (GLYPH_UNKNOWN if believed is None
                      else GLYPH_UP if believed else GLYPH_DOWN)
-            mark = " "
-            if truth is not None and (a, b) in truth:
-                stale = now_ms is not None and matrix.is_stale(a, now_ms)
-                if not stale and (believed is None
-                                  or believed != truth[(a, b)]):
-                    mark = GLYPH_DISAGREE
-            cells.append(f"  {glyph}{mark}")
+            cells.append(f"  {glyph} ")
         fresh = ""
         if now_ms is not None:
             age = matrix.freshness_ms(a, now_ms)
@@ -117,21 +95,14 @@ def _degraded_lines(monitor: HealthMonitor) -> List[str]:
     return lines
 
 
-def render_dashboard(
-    monitor: HealthMonitor,
-    truth: Optional[GroundTruth] = None,
-    now_ms: Optional[float] = None,
-    title: str = "cluster health",
-) -> str:
+def render_dashboard(monitor: HealthMonitor,
+                     now_ms: Optional[float] = None) -> str:
     """One dashboard frame from ``monitor``'s current snapshot."""
     at = now_ms if now_ms is not None else monitor.last_at_ms
-    lines = [f"== {title} @ t={at:.0f}ms =="]
-    lines.extend(_matrix_lines(monitor, truth, now_ms))
+    lines = [f"== cluster health @ t={at:.0f}ms =="]
+    lines.extend(_matrix_lines(monitor, now_ms))
     lines.extend(_server_lines(monitor))
     lines.extend(_degraded_lines(monitor))
-    if truth is not None:
-        disputes = matrix_disagreements(monitor.matrix, truth, now_ms)
-        lines.append(f"  disagreements={len(disputes)}")
     return "\n".join(lines)
 
 
@@ -188,84 +159,3 @@ def _series_lines(records: Sequence[EventRecord],
     lines = [f"  series ({window_ms:.0f} ms windows):"]
     lines.extend("  " + lane for lane in series_lanes(windows))
     return lines
-
-
-#: Scenario name -> the paper partition it demonstrates.
-DEMO_SCENARIOS = ("quorum-loss", "constrained", "chained")
-
-
-def watch_demo(
-    scenario: str = "quorum-loss",
-    num_servers: int = 5,
-    election_timeout_ms: float = 100.0,
-    seed: int = 0,
-    out: Optional[io.TextIOBase] = None,
-) -> int:
-    """Run a short partitioned sim and print before/during/after frames.
-
-    Returns the number of matrix/ground-truth disagreements observed in
-    the *during-partition* frame taken immediately after the netsplit —
-    the believed matrix still claims the pre-partition links, so a healthy
-    health layer shows a non-zero count here (the CI smoke asserts it) and
-    zero again once heartbeat rounds quiesce.
-    """
-    from repro.sim import partitions
-    from repro.sim.harness import ExperimentConfig, build_experiment
-
-    if scenario not in DEMO_SCENARIOS:
-        raise ConfigError(
-            f"unknown scenario {scenario!r}; pick one of {DEMO_SCENARIOS}"
-        )
-    registry = MetricsRegistry()
-    monitor = HealthMonitor(stale_after_ms=20 * election_timeout_ms)
-    registry.add_sink(monitor)
-    exp = build_experiment(ExperimentConfig(
-        protocol="omni",
-        num_servers=num_servers,
-        election_timeout_ms=election_timeout_ms,
-        seed=seed,
-        initial_leader=1,
-    ), obs=registry)
-    cluster = exp.cluster
-    pids = list(cluster.pids)
-
-    def emit(frame: str) -> None:
-        if out is not None:
-            out.write(frame + "\n\n")
-
-    settle_ms = 20 * election_timeout_ms
-    cluster.run_for(settle_ms)
-    truth = ground_truth_from_network(exp.network, pids)
-    emit(render_dashboard(monitor, truth, cluster.now,
-                          title=f"{scenario}: before partition"))
-
-    pivot = pids[-1]
-    if scenario == "quorum-loss":
-        partitions.quorum_loss(cluster, pivot=pivot)
-    elif scenario == "constrained":
-        partitions.constrained_election(cluster, pivot=pivot, leader=1)
-    else:
-        partitions.chained(cluster, order=pids)
-    # One tick of sim time: the netsplit is live but no heartbeat round
-    # has closed, so beliefs still describe the healed network.
-    cluster.run_for(exp.config.effective_tick_ms)
-    truth = ground_truth_from_network(exp.network, pids)
-    during = render_dashboard(monitor, truth, cluster.now,
-                              title=f"{scenario}: just after partition")
-    emit(during)
-    disagreements = len(
-        matrix_disagreements(monitor.matrix, truth, cluster.now))
-
-    cluster.run_for(settle_ms)
-    truth = ground_truth_from_network(exp.network, pids)
-    emit(render_dashboard(monitor, truth, cluster.now,
-                          title=f"{scenario}: partition quiesced"))
-
-    partitions.heal(cluster)
-    cluster.run_for(settle_ms)
-    truth = ground_truth_from_network(exp.network, pids)
-    emit(render_dashboard(monitor, truth, cluster.now,
-                          title=f"{scenario}: healed"))
-    if out is not None:
-        out.write(f"partition-disagreements={disagreements}\n")
-    return disagreements

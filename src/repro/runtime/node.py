@@ -99,8 +99,8 @@ class RuntimeNode:
         self._stop_task: Optional[asyncio.Task] = None
         self._drain_handle: Optional[asyncio.Handle] = None
         self._running = False
-        self._series: Optional["SeriesCollector"] = None
-        self._series_memo: Dict[str, int] = {}
+        #: Last sampled depth per queue; None until the sampler is attached.
+        self._queue_memo: Optional[Dict[str, int]] = None
 
     # ------------------------------------------------------------------
 
@@ -203,35 +203,25 @@ class RuntimeNode:
             return 0
         return self.flight.dump_jsonl(path, self._obs)
 
-    def attach_series(self, window_ms: float = 1000.0) -> "SeriesCollector":
-        """Attach a live :class:`~repro.obs.series.SeriesCollector` driven
-        from the tick loop (wall-time windows, anchored at attach time).
-        Every tick also samples the transport's write-buffer/reconnect
-        backlog and the replica's staging-queue depths into
-        ``repro_queue_depth`` gauges and ``QueueDepthSampled`` events.
-        Call ``collector.finish()`` after :meth:`stop` for the windows."""
-        from repro.obs.series import SeriesCollector
+    def attach_queue_sampler(self) -> None:
+        """From now on every tick samples the transport's
+        write-buffer/reconnect backlog and the replica's staging-queue
+        depths into ``repro_queue_depth`` gauges and ``QueueDepthSampled``
+        events (the ``queue:tcp_*`` lanes of ``repro-obs series``)."""
         if not self._obs.enabled:
             raise ConfigError(
-                "attach_series needs RuntimeNode(..., obs=<enabled "
-                "registry>) — the series engine is fed by events, and the "
-                "null registry drops them"
+                "attach_queue_sampler needs RuntimeNode(..., obs=<enabled "
+                "registry>) — the samples are events, and the null "
+                "registry drops them"
             )
-        start = self._now_ms() if self._loop is not None else 0.0
-        self._series = SeriesCollector(self._obs, window_ms=window_ms,
-                                       start_ms=start)
-        self._series_memo = {}
-        self._obs.add_sink(self._series)
-        return self._series
+        self._queue_memo = {}
 
-    def _sample_series(self) -> None:
+    def _sample_queues(self) -> None:
         from repro.obs import prof
         prof.sample_queue_depths(self._obs, self._mesh.queue_depths(),
-                                 pid=self.pid, last=self._series_memo)
+                                 pid=self.pid, last=self._queue_memo)
         prof.sample_queue_depths(self._obs, self._replica.queue_depths(),
-                                 pid=self.pid, last=self._series_memo)
-        assert self._series is not None
-        self._series.sample(self._now_ms())
+                                 pid=self.pid, last=self._queue_memo)
 
     # ------------------------------------------------------------------
 
@@ -241,8 +231,8 @@ class RuntimeNode:
                 await asyncio.sleep(self._tick_s)
                 with contextlib.suppress(StorageError):  # node is stopping
                     self._step(self._replica.tick)
-                if self._series is not None:
-                    self._sample_series()
+                if self._queue_memo is not None:
+                    self._sample_queues()
         except asyncio.CancelledError:
             raise
         except Exception:

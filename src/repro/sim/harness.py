@@ -216,35 +216,30 @@ class Experiment:
         self.obs.add_sink(monitor)
         return monitor
 
-    # -- windowed time series ------------------------------------------------
+    # -- queue-depth sampling ------------------------------------------------
 
-    def attach_series(self, window_ms: float = 250.0,
-                      sample_ms: Optional[float] = None) -> "SeriesCollector":
-        """Attach a live :class:`~repro.obs.series.SeriesCollector` plus a
-        recurring queue-depth sampler on the event queue.
+    def attach_queue_sampler(self, sample_ms: float) -> None:
+        """Schedule a recurring queue-depth sampler on the event queue.
 
-        The sampler reads the sim event-heap depth, the network's in-flight
-        count, and every live server's staging-queue depths (outboxes,
-        pending proposals), publishing them as ``repro_queue_depth`` gauges
-        and ``QueueDepthSampled`` events, and drives the collector's window
-        boundaries. It consumes no randomness and only *reads* protocol
-        state; its queue entries shift event sequence numbers uniformly, so
-        decided-log digests are byte-identical with or without it. Call
-        ``collector.finish(queue.now)`` after the run for the windows.
+        Every ``sample_ms`` it reads the sim event-heap depth, the
+        network's in-flight count, and every live server's staging-queue
+        depths (outboxes, pending proposals), publishing them as
+        ``repro_queue_depth`` gauges and ``QueueDepthSampled`` events —
+        the ``queue:*:max`` lanes of
+        :func:`~repro.obs.series.series_from_events`. It consumes no
+        randomness and only *reads* protocol state; its queue entries
+        shift event sequence numbers uniformly, so decided-log digests are
+        byte-identical with or without it.
         """
         from repro.obs import prof
-        from repro.obs.series import SeriesCollector
         if not self.obs.enabled:
             raise ConfigError(
-                "attach_series needs build_experiment(..., obs=<enabled "
-                "registry>) — the series engine is fed by events, and the "
+                "attach_queue_sampler needs build_experiment(..., "
+                "obs=<enabled registry>) — the samples are events, and the "
                 "null registry drops them"
             )
-        if sample_ms is None:
-            sample_ms = max(window_ms / 5.0, self.config.effective_tick_ms)
-        collector = SeriesCollector(self.obs, window_ms=window_ms,
-                                    start_ms=0.0)
-        self.obs.add_sink(collector)
+        if sample_ms <= 0:
+            raise ConfigError("sample_ms must be positive")
         queue, cluster, network, obs = (self.queue, self.cluster,
                                         self.network, self.obs)
         # Per-scope delta memos so steady depths cost one emission, not
@@ -262,11 +257,9 @@ class Experiment:
                 prof.sample_queue_depths(
                     obs, cluster.replica(pid).queue_depths(), pid=pid,
                     last=memos.setdefault(pid, {}))
-            collector.sample(queue.now)
             queue.schedule_in(sample_ms, _sample)
 
         queue.schedule_in(sample_ms, _sample)
-        return collector
 
     def statuses(self) -> Dict[int, Dict[str, Any]]:
         """Every live server's :meth:`~repro.replica.Replica.status` view

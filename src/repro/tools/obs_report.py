@@ -7,7 +7,6 @@
     repro-obs timeline run.jsonl --width 72         # ASCII scenario Gantt
     repro-obs spans run.jsonl --kind commit         # reconstructed spans
     repro-obs watch run.jsonl --at-ms 3000          # health dashboard
-    repro-obs watch --demo quorum-loss              # live partitioned sim
     repro-obs series run.jsonl --window-ms 250      # sparkline lanes
     repro-obs diff a.jsonl b.jsonl                  # regression verdicts
 
@@ -29,7 +28,7 @@ from repro.obs.series import (diff_series, render_diff, series_from_events,
                               series_lanes)
 from repro.obs.spans import SPAN_KINDS, assemble_spans
 from repro.obs.timeline import render_spans, render_timeline
-from repro.obs.watch import DEMO_SCENARIOS, watch_demo, watch_export
+from repro.obs.watch import watch_export
 
 
 def _add_window_args(parser: argparse.ArgumentParser) -> None:
@@ -77,21 +76,12 @@ def build_parser() -> argparse.ArgumentParser:
     watch = sub.add_parser(
         "watch", help="health dashboard: connectivity matrix, leader lane, "
                       "lag, gray failures")
-    watch.add_argument("path", nargs="?", default=None,
-                       help="path to the .jsonl export (omit with --demo)")
+    watch.add_argument("path", help="path to the .jsonl export")
     watch.add_argument("--at-ms", type=float, default=None,
                        help="render the state as of this time "
                             "(default: end of export)")
     watch.add_argument("--stale-after-ms", type=float, default=None,
                        help="mark reporters silent for this long as stale")
-    watch.add_argument("--demo", choices=DEMO_SCENARIOS, default=None,
-                       help="run a live partitioned sim instead of "
-                            "replaying an export")
-    watch.add_argument("--servers", type=int, default=5,
-                       help="demo cluster size")
-    watch.add_argument("--election-timeout-ms", type=float, default=100.0,
-                       help="demo election timeout")
-    watch.add_argument("--seed", type=int, default=0, help="demo seed")
 
     series = sub.add_parser(
         "series", help="windowed time series as sparkline lanes "
@@ -129,13 +119,19 @@ def _load(path: str):
     return None
 
 
+def _bounds_inverted(args) -> bool:
+    if (args.start_ms is not None and args.end_ms is not None
+            and args.start_ms >= args.end_ms):
+        print("--start-ms must be before --end-ms", file=sys.stderr)
+        return True
+    return False
+
+
 def _cmd_report(args) -> int:
     if args.window_ms <= 0:
         print("--window-ms must be positive", file=sys.stderr)
         return 2
-    if (args.start_ms is not None and args.end_ms is not None
-            and args.start_ms >= args.end_ms):
-        print("--start-ms must be before --end-ms", file=sys.stderr)
+    if _bounds_inverted(args):
         return 2
     loaded = _load(args.path)
     if loaded is None:
@@ -165,6 +161,8 @@ def _cmd_timeline(args) -> int:
     if args.width < 10:
         print("--width must be at least 10", file=sys.stderr)
         return 2
+    if _bounds_inverted(args):
+        return 2
     loaded = _load(args.path)
     if loaded is None:
         return 1
@@ -187,6 +185,9 @@ def _cmd_spans(args) -> int:
     if args.width < 10:
         print("--width must be at least 10", file=sys.stderr)
         return 2
+    if args.limit < 0:
+        print("--limit must not be negative", file=sys.stderr)
+        return 2
     loaded = _load(args.path)
     if loaded is None:
         return 1
@@ -202,21 +203,6 @@ def _cmd_spans(args) -> int:
 
 
 def _cmd_watch(args) -> int:
-    if args.demo is not None:
-        disagreements = watch_demo(
-            scenario=args.demo,
-            num_servers=args.servers,
-            election_timeout_ms=args.election_timeout_ms,
-            seed=args.seed,
-            out=sys.stdout,
-        )
-        # The demo *must* catch the belief/truth gap right after the
-        # netsplit; zero means the health layer is broken.
-        return 0 if disagreements > 0 else 1
-    if args.path is None:
-        print("watch needs an export path (or --demo <scenario>)",
-              file=sys.stderr)
-        return 2
     loaded = _load(args.path)
     if loaded is None:
         return 1
@@ -246,6 +232,12 @@ def _cmd_series(args) -> int:
         print(f"{args.path}: not enough history for one "
               f"{args.window_ms:g} ms window", file=sys.stderr)
         return 1
+    known = sorted({family for w in windows for family in w.values})
+    for family in args.family or ():
+        if family not in known:
+            print(f"--family {family}: not in this export, which has "
+                  f"{', '.join(known)}", file=sys.stderr)
+            return 2
     print(f"{len(windows)} windows x {args.window_ms:g} ms "
           f"[{windows[0].start_ms:.0f} .. {windows[-1].end_ms:.0f} ms]")
     for line in series_lanes(windows, families=args.family):
@@ -256,6 +248,9 @@ def _cmd_series(args) -> int:
 def _cmd_diff(args) -> int:
     if args.window_ms <= 0:
         print("--window-ms must be positive", file=sys.stderr)
+        return 2
+    if args.threshold < 0:
+        print("--threshold must not be negative", file=sys.stderr)
         return 2
     series = []
     for path in (args.before, args.after):

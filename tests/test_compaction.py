@@ -6,6 +6,7 @@ from repro.errors import CompactionError, NotLeaderError, StorageError
 from repro.omni.ballot import Ballot
 from repro.omni.entry import Command
 from repro.omni.messages import Trim
+from repro.omni.server import ClusterConfig, OmniPaxosConfig, OmniPaxosServer
 from repro.omni.storage import FileStorage, InMemoryStorage
 
 from tests.conftest import build_omni_cluster, run_until_leader
@@ -210,6 +211,35 @@ class TestServerTrim:
         # The joiner migrated the full log from the service layer even
         # though the replication layer was compacted.
         assert servers[4].global_log_len == 11
+
+
+    @pytest.mark.xfail(strict=True, raises=StorageError,
+                       reason="ROADMAP 4(b)")
+    def test_restart_on_a_trimmed_file_storage(self, tmp_path):
+        """A server cannot restart on a WAL whose prefix was trimmed:
+        ``_start_instance`` rebuilds the service layer's log from index 0
+        of storage, which compaction gave away."""
+        def server():
+            return OmniPaxosServer(OmniPaxosConfig(
+                pid=1, cluster=ClusterConfig(0, (1,)),
+                storage_factory=lambda _cid: FileStorage(
+                    str(tmp_path / "s.wal"))))
+
+        first = server()
+        first.start(0.0)
+        for now in range(10, 510, 10):
+            first.tick(float(now))
+            first.take_outbox()
+        assert first.is_leader
+        for i in range(10):
+            first.propose(Command(b"x", client_id=1, seq=i), 500.0)
+        first.take_outbox()
+        assert len(first.take_decided()) == 10
+        assert first.trim(5) == 5
+        first.sp_of_current().storage.close()
+        second = server()
+        second.start(0.0)
+        assert second.global_log_len == 10
 
 
 class TestTrimRecoveryRegression:

@@ -208,19 +208,6 @@ class TestChaosFlightDump:
 
 
 class TestWatchCli:
-    def test_demo_catches_partition_disagreement(self, capsys):
-        rc = obs_main(["watch", "--demo", "quorum-loss", "--servers", "5"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        marker = [l for l in out.splitlines()
-                  if l.startswith("partition-disagreements=")]
-        assert marker, out
-        assert int(marker[0].split("=")[1]) > 0
-        # The dashboard frames made it to stdout.
-        assert "connectivity matrix" in out
-        assert "disagrees with ground truth" in out
-        assert "quiesced" in out
-
     def test_watch_export_renders_matrix(self, tmp_path, capsys):
         path = str(tmp_path / "run.jsonl")
         reg = MetricsRegistry()
@@ -249,8 +236,10 @@ class TestWatchCli:
         err = capsys.readouterr().err
         assert "HeartbeatViewReported" in err or "health" in err
 
-    def test_watch_without_path_or_demo_is_usage_error(self, capsys):
-        assert obs_main(["watch"]) == 2
+    def test_watch_without_path_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            obs_main(["watch"])
+        assert exit_info.value.code == 2
 
 
 class TestReportErrorPaths:

@@ -23,6 +23,7 @@ from repro.omni.messages import AcceptDecide, AcceptSync, Promise
 from repro.omni.sequence_paxos import Phase
 from repro.omni.server import ClusterConfig, OmniPaxosConfig, OmniPaxosServer
 from repro.omni.storage import InMemoryStorage
+from repro.obs.exporters import MemorySink
 from repro.obs.registry import MetricsRegistry
 from repro.replica import Replica
 from repro.runtime import RuntimeNode
@@ -275,9 +276,11 @@ def test_runtime_driver_hands_out_once_per_loop_turn():
     """The same K proposals, issued without yielding to the loop, leave a
     ``RuntimeNode`` as one message per follower — through a proxy that
     leaves the optional hooks at what ``Replica`` declares, on a node
-    that calls all three (registry, series sampling, link pings)."""
+    that calls all three (registry, queue sampling, link pings)."""
     proxies = forwarding_trio(hb_period_ms=40.0)
     reg = MetricsRegistry()
+    sink = MemorySink()
+    reg.add_sink(sink)
 
     async def scenario():
         addrs = make_addrs(list(proxies))
@@ -288,7 +291,7 @@ def test_runtime_driver_hands_out_once_per_loop_turn():
             for p, proxy in proxies.items()}
         for node in nodes.values():
             await node.start()
-        collector = nodes[1].attach_series(window_ms=50.0)
+        nodes[1].attach_queue_sampler()
         try:
             # Leadership moves once or twice while peers are still
             # dialling; whoever leads after ten heartbeat rounds stays.
@@ -306,12 +309,15 @@ def test_runtime_driver_hands_out_once_per_loop_turn():
         finally:
             for node in nodes.values():
                 await node.stop()
-        return leader.pid, collector.finish()
+        return leader.pid
 
-    leader, windows = asyncio.run(scenario())
+    leader = asyncio.run(scenario())
     assert proxies[leader].replicated() == {
         pid: [K] for pid in proxies if pid != leader}
     assert proxies[1].obs is reg and proxies[1].inner.obs is not reg
     assert proxies[1].queue_depths() == {}
     assert proxies[1].gray_detector is None
-    assert len(windows) > 5, "the node sampled its series every tick"
+    sampled = [r.event for r in sink.by_kind("QueueDepthSampled")]
+    assert {e.queue for e in sampled} == {"tcp_write", "tcp_reconnect"}, \
+        "the node sampled the mesh's queues on its ticks, the proxy has none"
+    assert {e.pid for e in sampled} == {1}

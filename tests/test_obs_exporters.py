@@ -1,4 +1,4 @@
-"""Tests for the observability exporters: memory, JSON-lines, Prometheus."""
+"""Tests for the observability exporters: memory and JSON-lines."""
 
 import io
 
@@ -16,7 +16,6 @@ from repro.obs.exporters import (
     MemorySink,
     metrics_snapshot,
     read_jsonl,
-    render_prometheus,
 )
 from repro.obs.registry import MetricsRegistry
 
@@ -112,8 +111,11 @@ class TestJsonLinesRoundTrip:
         assert snap["buckets"] == [["+Inf", 1]]
 
     def test_unknown_tag_rejected(self):
-        with pytest.raises(ConfigError):
-            read_jsonl(['{"t": "mystery", "x": 1}'])
+        # "series" was a record kind once; no view reads it, so it is
+        # refused like any other unknown tag.
+        for tag in ("mystery", "series"):
+            with pytest.raises(ConfigError, match="unknown JSON-lines"):
+                read_jsonl(['{"t": "%s", "index": 0}' % tag])
 
     def test_unknown_event_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -122,41 +124,3 @@ class TestJsonLinesRoundTrip:
     def test_blank_lines_skipped(self):
         events, metrics = read_jsonl(["", "   ", ""])
         assert events == [] and metrics == []
-
-
-class TestPrometheus:
-    def test_counter_and_gauge_lines(self):
-        text = render_prometheus(populated_registry())
-        assert "# TYPE repro_decided_entries_total counter" in text
-        assert 'repro_decided_entries_total{pid="1"} 10' in text
-        assert 'repro_decided_entries_total{pid="2"} 20' in text
-        assert "# TYPE repro_quorum_connected gauge" in text
-        assert 'repro_quorum_connected{pid="1"} 1' in text
-
-    def test_histogram_cumulative_with_inf(self):
-        text = render_prometheus(populated_registry())
-        assert "# TYPE repro_propose_decide_latency_ms histogram" in text
-        bucket_lines = [
-            l for l in text.splitlines()
-            if l.startswith("repro_propose_decide_latency_ms_bucket")
-        ]
-        counts = [int(l.rsplit(" ", 1)[1]) for l in bucket_lines]
-        assert counts == sorted(counts)  # cumulative
-        assert counts[-1] == 3
-        assert 'le="+Inf"' in bucket_lines[-1]
-        assert "repro_propose_decide_latency_ms_sum 303" in text
-        assert "repro_propose_decide_latency_ms_count 3" in text
-
-    def test_label_escaping(self):
-        reg = MetricsRegistry()
-        reg.counter("weird_total", label='a"b\\c').inc()
-        text = render_prometheus(reg)
-        assert r'label="a\"b\\c"' in text
-
-    def test_empty_registry(self):
-        assert render_prometheus(MetricsRegistry()) == ""
-
-    def test_unlabelled_counter(self):
-        reg = MetricsRegistry()
-        reg.counter("plain_total").inc(2)
-        assert "plain_total 2" in render_prometheus(reg)

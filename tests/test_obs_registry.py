@@ -105,6 +105,19 @@ class TestHistogram:
         assert bounds == sorted(bounds)
 
 
+    def test_nonempty_buckets_sum_to_count_overflow_included(self):
+        """What every export of a histogram relies on: the non-empty
+        buckets, the overflow bucket among them, account for every
+        observation exactly once."""
+        h = Histogram("lat", ())
+        for v in (0.3, 0.9, 2.5, 2.5, 40.0, 1e9):
+            h.observe(v)
+        buckets = h.nonempty_buckets()
+        assert buckets[-1] == (float("inf"), 1)
+        assert sum(n for _, n in buckets) == h.count == 6
+        assert h.sum == sum((0.3, 0.9, 2.5, 2.5, 40.0, 1e9))
+
+
 class TestRegistryEvents:
     def test_emit_stamps_clock(self):
         t = [0.0]

@@ -148,6 +148,22 @@ class TestSeriesAndDiffCli:
         out = capsys.readouterr().out
         assert "decided_per_s" in out
 
+    @pytest.mark.parametrize("argv, complaint", [
+        (["series", "--family", "nope"],
+         "--family nope: not in this export, which has "
+         "ble_jitter_ms:mean, decided_per_s"),
+        (["diff", "--threshold", "-1"], "--threshold must not be negative"),
+    ], ids=["series-unknown-family", "diff-negative-threshold"])
+    def test_what_cannot_be_honoured_is_refused(self, exported_run, argv,
+                                                complaint, capsys):
+        path, _result = exported_run
+        paths = [path, path] if argv[0] == "diff" else [path]
+        assert obs_report_main([argv[0], *paths, *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(complaint)
+        assert captured.err.count("\n") == 1
+
     def test_diff_same_export_unchanged_exit_zero(self, exported_run,
                                                   capsys):
         path, _result = exported_run

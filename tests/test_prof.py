@@ -6,8 +6,8 @@ The PR 7 acceptance criteria under test:
   to within 5% of the span's end-to-end duration (they sum *exactly* by
   construction — consecutive milestone differences — so the 5% criterion
   is a tripwire against a future phase being double-counted or dropped),
-- attaching the series engine + profiler changes no decided-log digest:
-  the instrumentation only reads protocol state.
+- attaching tracing + the queue-depth sampler changes no decided-log
+  digest: the instrumentation only reads protocol state.
 """
 
 import pytest
@@ -20,9 +20,7 @@ from repro.obs.prof import (
     PathAttribution,
     attribute_commit_paths,
     attributions_by_window,
-    describe_dominant,
     dominant_phase,
-    dominant_phase_by_window,
     phase_totals,
     sample_queue_depths,
 )
@@ -87,11 +85,10 @@ class TestAttributionAccuracy:
 
     def test_lan_run_is_replicate_bound(self):
         """On a LAN the round trips dominate: replication must be the
-        aggregate dominant phase, and the one-liner says so."""
+        aggregate dominant phase."""
         _, sink = _traced_run()
         attributions = attribute_commit_paths(sink.records)
         assert dominant_phase(attributions) == "replicate"
-        assert describe_dominant(attributions).startswith("replicate-bound")
         totals = phase_totals(attributions)
         assert set(totals) <= set(PHASES)
 
@@ -104,12 +101,8 @@ class TestAttributionAccuracy:
         # The boundary-straddling commit lands in the window its apply
         # completes in, and each window judges its own dominant phase.
         assert [x.trace_id for x in buckets[1]] == ["t1", "t2"]
-        assert dominant_phase_by_window([a, b], 100.0) == {1: "replicate"}
-        assert dominant_phase_by_window([a], 100.0, start_ms=100.0) == \
-            {0: "replicate"}
-
-    def test_describe_empty(self):
-        assert describe_dominant([]) == "no attributed commits"
+        assert dominant_phase(buckets[1]) == "replicate"
+        assert list(attributions_by_window([a], 100.0, start_ms=100.0)) == [0]
 
 
 class TestQueueSampling:
@@ -160,7 +153,7 @@ class TestDigestSafety:
                              seed=7, initial_leader=1),
             obs=reg)
         if with_series:
-            exp.attach_series(window_ms=100.0)
+            exp.attach_queue_sampler(sample_ms=20.0)
         digest = LogDigest()
         exp.cluster.on_decided(
             lambda pid, idx, entry, now: digest.record(pid, idx, entry))
@@ -169,7 +162,7 @@ class TestDigestSafety:
         return digest.hexdigest()
 
     def test_series_and_profiling_leave_digests_identical(self):
-        """Acceptance: the full series + profiling stack reads state but
+        """Acceptance: tracing plus the queue sampler reads state but
         never steers it — per-server decided logs are byte-identical."""
         assert self._drive(with_series=False) == self._drive(with_series=True)
 
@@ -187,7 +180,7 @@ class TestQueueDepthInstrumentation:
                              election_timeout_ms=100.0, one_way_ms=0.5,
                              seed=3, initial_leader=1),
             obs=reg)
-        exp.attach_series(window_ms=100.0)
+        exp.attach_queue_sampler(sample_ms=20.0)
         exp.make_client(8)
         exp.cluster.run_for(1_500.0)
         queues = {r.event.queue for r in sink.by_kind("QueueDepthSampled")}

@@ -4,8 +4,8 @@ Satellite coverage for the PR 7 tentpole: empty windows are emitted (a
 stall must be visible, not elided), out-of-order timestamps bucket by
 their own clock, boundary entries follow half-open ``[start, end)``
 semantics, clock-skewed reporters don't corrupt the grid, and the whole
-pipeline — live collector, post-hoc builder, JSONL round-trip, diff —
-is deterministic per seed.
+pipeline — one builder over a run's records or its export, diff — is
+deterministic per seed.
 """
 
 import pytest
@@ -21,14 +21,11 @@ from repro.obs.events import (
 from repro.obs.exporters import JsonLinesSink, MemorySink, read_jsonl
 from repro.obs.registry import MetricsRegistry
 from repro.obs.series import (
-    SeriesCollector,
     SeriesWindow,
     diff_series,
-    read_series,
     render_diff,
     series_from_events,
     series_lanes,
-    series_to_jsonl,
     sparkline,
 )
 from repro.sim.harness import ExperimentConfig, build_experiment
@@ -122,7 +119,7 @@ class TestWindowing:
         with pytest.raises(ConfigError):
             series_from_events([], window_ms=0.0)
         with pytest.raises(ConfigError):
-            SeriesCollector(MetricsRegistry(), window_ms=-1.0)
+            series_from_events([], window_ms=-1.0)
 
     def test_no_events_no_windows(self):
         assert series_from_events([], window_ms=100.0) == []
@@ -142,13 +139,13 @@ class TestClockSkew:
                                  election_timeout_ms=100.0, one_way_ms=0.5,
                                  seed=11, initial_leader=1),
                 obs=reg)
-            collector = exp.attach_series(window_ms=250.0)
+            exp.attach_queue_sampler(sample_ms=50.0)
             exp.make_client(4)
             exp.cluster.run_for(1_000.0)
             laggard = [p for p in exp.cluster.pids if p != 1][0]
             exp.cluster.set_tick_scale(laggard, 10.0)
             exp.cluster.run_for(1_000.0)
-            return collector.finish(exp.queue.now)
+            return series_from_events(sink.records, window_ms=250.0)
 
         first, second = run(), run()
         assert first == second
@@ -160,18 +157,24 @@ class TestClockSkew:
 
 
 class TestDeterminism:
-    def _run(self, seed):
+    def _run(self, seed, export=None):
         reg = MetricsRegistry()
         reg.enable_tracing()
+        sink = MemorySink()
+        reg.add_sink(sink)
+        if export is not None:
+            reg.add_sink(export)
         exp = build_experiment(
             ExperimentConfig(protocol="omni", num_servers=3,
                              election_timeout_ms=100.0, one_way_ms=0.5,
                              seed=seed, initial_leader=1),
             obs=reg)
-        collector = exp.attach_series(window_ms=250.0)
+        exp.attach_queue_sampler(sample_ms=50.0)
         exp.make_client(4)
         exp.cluster.run_for(2_000.0)
-        return collector.finish(exp.queue.now)
+        if export is not None:
+            export.close(reg)
+        return series_from_events(sink.records, window_ms=250.0)
 
     def test_same_seed_identical_windows(self):
         assert self._run(7) == self._run(7)
@@ -181,63 +184,18 @@ class TestDeterminism:
         assert diff.verdict == "unchanged"
         assert all(fd.verdict == "unchanged" for fd in diff.families)
 
-    def test_live_collector_agrees_with_posthoc_builder(self):
-        """The collector's event-derived families must equal a post-hoc
-        series over the same exported events — a boundary-straddling
-        commit span lands identically in both."""
-        reg = MetricsRegistry()
-        reg.enable_tracing()
-        sink = MemorySink()
-        reg.add_sink(sink)
-        exp = build_experiment(
-            ExperimentConfig(protocol="omni", num_servers=3,
-                             election_timeout_ms=100.0, one_way_ms=0.5,
-                             seed=7, initial_leader=1),
-            obs=reg)
-        collector = exp.attach_series(window_ms=250.0)
-        exp.make_client(4)
-        exp.cluster.run_for(2_000.0)
-        live = collector.finish(exp.queue.now)
-        posthoc = series_from_events(
-            sink.records, window_ms=250.0,
-            end_ms=live[-1].end_ms)
-        assert len(live) == len(posthoc)
-        for lw, pw in zip(live, posthoc):
-            assert lw.dominant_phase == pw.dominant_phase
-            for family, value in pw.values.items():
-                assert lw.values[family] == pytest.approx(value), family
-
-
-class TestExportRoundTrip:
-    def test_jsonl_round_trip(self, tmp_path):
-        windows = [
-            _window(0, {"decided_per_s": 40.0, "commit_ms:p95": 2.25},
-                    dominant="replicate"),
-            _window(1, {"decided_per_s": 0.0}),
-        ]
-        path = tmp_path / "series.jsonl"
-        reg = MetricsRegistry()
-        sink = JsonLinesSink(str(path))
-        reg.add_sink(sink)
-        sink.write_series(windows)
-        sink.close(reg)
-        with open(path) as handle:
-            back = read_series(handle)
-        assert back == windows
-        # The series lines coexist with event/metric records: the event
-        # reader skips them rather than choking.
-        events, _metrics = read_jsonl(str(path))
-        assert events == []
-
-    def test_read_series_rejects_garbage(self):
-        with pytest.raises(ConfigError):
-            read_series(["{not json"])
-        with pytest.raises(ConfigError):
-            read_series(['{"t": "series", "index": "x"}'])
-
-    def test_read_series_sorts_by_index(self):
-        lines = series_to_jsonl([_window(1, {}), _window(0, {})])
-        assert [w.index for w in read_series(reversed(lines))] == [0, 1]
+    def test_records_in_memory_and_their_export_window_identically(
+            self, tmp_path):
+        """A view is a function of the export: the windows over a run's
+        ``MemorySink`` records equal the windows over ``read_jsonl`` of
+        that run's export — a boundary-straddling commit span and every
+        ``queue:*:max`` lane land identically in both."""
+        path = str(tmp_path / "run.jsonl")
+        live = self._run(7, export=JsonLinesSink(path))
+        events, _metrics = read_jsonl(path)
+        assert live == series_from_events(events, window_ms=250.0)
+        assert any(w.dominant_phase for w in live)
+        assert any(f.startswith("queue:") for w in live for f in w.values)
 
 
 class TestSparklines:

@@ -18,7 +18,6 @@ from repro.obs.events import (
     RecoveryCompleted,
     RecoveryStarted,
 )
-from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import (
     SPAN_COMMIT,
     Span,
@@ -29,7 +28,6 @@ from repro.obs.spans import (
     election_spans,
     entry_trace_id,
     migration_spans,
-    observe_span_histograms,
     recovery_spans,
     span_quantile,
 )
@@ -227,19 +225,6 @@ class TestAssembleAndHistograms:
         spans = assemble_spans(events)
         assert [s.start_ms for s in spans] == sorted(s.start_ms for s in spans)
         assert {s.kind for s in spans} == {"election", "commit"}
-
-    def test_observe_span_histograms(self):
-        spans = [
-            Span(kind="commit", trace_id="t", start_ms=0.0, end_ms=2.0,
-                 phases=(("replicate", 0.0), ("apply", 1.5))),
-            Span(kind="election", trace_id="e", start_ms=0.0, end_ms=30.0),
-        ]
-        reg = MetricsRegistry()
-        observe_span_histograms(spans, reg)
-        assert reg.histogram("repro_span_duration_ms", kind="commit").count == 1
-        assert reg.histogram("repro_span_duration_ms", kind="election").count == 1
-        assert reg.histogram("repro_commit_phase_ms", phase="replicate").count == 1
-        assert reg.histogram("repro_commit_phase_ms", phase="apply").count == 1
 
     def test_span_quantile(self):
         spans = [Span(kind="c", trace_id=str(i), start_ms=0.0, end_ms=float(i))

@@ -124,6 +124,19 @@ class TestTimelineCli:
         assert exit_info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, complaint", [
+        (["timeline", "--start-ms", "3000", "--end-ms", "1000"],
+         "--start-ms must be before --end-ms"),
+        (["spans", "--limit", "-3"], "--limit must not be negative"),
+    ], ids=["timeline-inverted-bounds", "spans-negative-limit"])
+    def test_what_cannot_be_honoured_is_refused(self, smoke, argv,
+                                                complaint, capsys):
+        path, _ = smoke
+        assert obs_report.main([argv[0], path, *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == complaint + "\n"
+
     def test_report_subcommand(self, smoke, capsys):
         path, _ = smoke
         assert obs_report.main(["report", path, "--window-ms", "1000"]) == 0
