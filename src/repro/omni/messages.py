@@ -271,9 +271,9 @@ class LogPullRequest:
 class LogSegment:
     """Donor -> joining server: a contiguous slice of decided entries.
 
-    ``complete`` is False when the donor could only serve a prefix of the
-    requested range (it has not decided that far yet); the joiner re-requests
-    the remainder, possibly from another donor.
+    ``complete`` is False when the donor served only a prefix of the range
+    (it has not decided that far yet, or the range exceeds its chunk size);
+    the joiner re-requests the remainder, possibly from another donor.
     """
 
     config_id: int

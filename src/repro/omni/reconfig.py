@@ -21,9 +21,9 @@ next donor. Two strategies are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigError, MigrationError
+from repro.errors import ConfigError, MigrationError, StorageError
 from repro.omni.messages import LogPullRequest, LogSegment
 
 PARALLEL = "parallel"
@@ -235,21 +235,25 @@ class MigrationPlan:
         )
 
 
-def serve_pull_request(
-    global_log: Sequence[Any], req: LogPullRequest
-) -> LogSegment:
-    """Donor-side handler: slice the decided global log for a pull request.
+def serve_pull_request(req: LogPullRequest,
+                       read: Callable[[int, int], Sequence[Any]],
+                       max_entries: int) -> Optional[LogSegment]:
+    """Donor-side handler: answer a pull request from the decided log, read
+    through ``read(from_idx, to_idx)`` with slice semantics.
 
     A donor that has not decided up to ``req.to_idx`` yet serves what it has
     and marks the segment incomplete — the paper notes segments "can even be
-    fetched from servers that have not reached the SS in c_i yet".
+    fetched from servers that have not reached the SS in c_i yet". The
+    request is a peer's input: a negative or inverted range, or one this
+    donor compacted, is served nothing (``None``); a segment carries at most
+    ``max_entries`` entries (honest joiners ask for exactly that many).
     """
-    have = len(global_log)
-    lo = req.from_idx
-    hi = max(min(req.to_idx, have), lo)
-    return LogSegment(
-        config_id=req.config_id,
-        from_idx=lo,
-        entries=tuple(global_log[lo:hi]),
-        complete=hi >= req.to_idx,
-    )
+    lo, hi = req.from_idx, req.to_idx
+    if lo < 0 or hi < lo:
+        return None
+    try:
+        entries = tuple(read(lo, min(hi, lo + max_entries)))
+    except StorageError:
+        return None
+    return LogSegment(req.config_id, lo, entries,
+                      complete=lo + len(entries) >= hi)

@@ -267,14 +267,14 @@ class SequencePaxos(Instrumented):
             return self._storage.get_entry(self._ss_idx)
         return None
 
-    def read_decided(self, from_idx: int = 0) -> Tuple[Any, ...]:
-        """A snapshot of the decided prefix starting at ``from_idx``.
+    def read_decided(self, from_idx: int, to_idx: int) -> Tuple[Any, ...]:
+        """The decided entries in ``[from_idx, to_idx)`` (``to_idx`` clamped).
 
-        Decided entries can never be retracted, so this read is stable and
-        is what the service layer serves to joining servers during log
-        migration — even before this server has seen a stop-sign.
+        Decided entries can never be retracted, so this read is stable; the
+        service layer reads the replicated log, and serves log migration,
+        through it — even before this server has seen a stop-sign.
         """
-        return self._storage.get_entries(from_idx, self.decided_idx)
+        return self._storage.get_entries(from_idx, min(to_idx, self.decided_idx))
 
     # ------------------------------------------------------------------
     # driving: leader events, messages, proposals

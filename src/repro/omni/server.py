@@ -1,11 +1,11 @@
 """OmniPaxosServer: the composed RSM server (paper Figure 2).
 
 One server hosts, per configuration, a Ballot Leader Election instance and a
-Sequence Paxos instance, plus the *service layer* that owns the replicated
+Sequence Paxos instance, plus the *service layer* that orders the replicated
 log across configurations and performs reconfiguration:
 
-- Sequence Paxos decides entries; the service layer appends them to the
-  global replicated log.
+- Sequence Paxos decides entries into its storage; the service layer counts
+  them into the replicated log, which it reads there (``read_log``).
 - When a stop-sign is decided, the configuration is stopped. A server that
   continues into the next configuration starts its new BLE/Sequence Paxos
   instances immediately (it already holds the whole log) and announces the
@@ -25,10 +25,10 @@ bound on every ballot this server ever led.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import ConfigError, NotLeaderError
+from repro.errors import ConfigError, NotLeaderError, StorageError
 from repro.obs.events import (
     HeartbeatViewReported,
     MigrationCompleted,
@@ -127,7 +127,8 @@ class OmniPaxosConfig:
 
 @dataclass
 class _Instance:
-    """One configuration's protocol instances at this server."""
+    """One configuration's protocol instances at this server; ``sp``'s
+    storage holds the configuration's segment of the replicated log."""
 
     cluster: ClusterConfig
     sp: SequencePaxos
@@ -154,9 +155,11 @@ class OmniPaxosServer(Replica):
         self._config = config
         self._instances: Dict[int, _Instance] = {}
         self._current_cid: Optional[int] = None
-        #: The service layer's replicated log: every decided entry across
-        #: all configurations, in order (segments end with stop-signs).
-        self._global_log: List[Any] = []
+        #: Length of the replicated log: every decided entry across all
+        #: configurations, in order (segments end with stop-signs).
+        self._log_len = 0
+        #: Ranges this server migrated rather than decided, by start index.
+        self._migrated: Dict[int, Tuple[Any, ...]] = {}
         self._decided_out: List[Tuple[int, Any]] = []
         self._migration: Optional[MigrationPlan] = None
         self._pending_cluster: Optional[ClusterConfig] = None
@@ -232,17 +235,35 @@ class OmniPaxosServer(Replica):
     @property
     def global_log_len(self) -> int:
         """Length of the decided replicated log at this server."""
-        return len(self._global_log)
+        return self._log_len
 
     @property
     def migrating(self) -> bool:
         return self._migration is not None
 
     def read_log(self, from_idx: int = 0, to_idx: Optional[int] = None) -> Tuple[Any, ...]:
-        """A snapshot of the decided replicated log (service layer view)."""
-        if to_idx is None:
-            to_idx = len(self._global_log)
-        return tuple(self._global_log[from_idx:to_idx])
+        """The decided replicated log in ``[from_idx, to_idx)``, clamped to
+        its length, read where each entry is held: a migrated range, or the
+        storage of the configuration that decided it (a compacted range
+        raises :class:`StorageError`)."""
+        to_idx = self._log_len if to_idx is None else min(to_idx, self._log_len)
+        out: Tuple[Any, ...] = ()
+        while from_idx < to_idx:
+            run = self._held_run(from_idx, to_idx)
+            if not run:
+                raise StorageError(f"log index {from_idx} is not held here")
+            out += run
+            from_idx += len(run)
+        return out
+
+    def _held_run(self, lo: int, hi: int) -> Tuple[Any, ...]:
+        """Entries from ``lo`` (below ``hi``) held in one place: a migrated
+        range, else the segment of the last configuration starting by ``lo``."""
+        for start, held in self._migrated.items():
+            if start <= lo < start + len(held):
+                return held[lo - start:hi - start]
+        inst = [i for i in self._instances.values() if i.global_offset <= lo][-1]
+        return inst.sp.read_decided(lo - inst.global_offset, hi - inst.global_offset)
 
     def ble_of_current(self) -> Optional[BallotLeaderElection]:
         """The active BLE instance (for tests and metrics)."""
@@ -289,7 +310,7 @@ class OmniPaxosServer(Replica):
             "peers_heard": list(ble.last_heard) if ble is not None else [],
             "hb_round": ble.hb_round if ble is not None else 0,
             "log_len": sp.log_len if sp is not None else 0,
-            "decided_idx": len(self._global_log),
+            "decided_idx": self._log_len,
             "migrating": self.migrating,
             "degraded": self._gray.snapshot(),
             "self_health": ble.self_health() if ble is not None else None,
@@ -318,7 +339,7 @@ class OmniPaxosServer(Replica):
             peers_heard=ble.last_heard,
             phase="leader" if self.is_leader else "follower",
             log_len=inst.sp.log_len,
-            decided_idx=len(self._global_log),
+            decided_idx=self._log_len,
             jitter_ms=ble.last_round_jitter_ms or 0.0,
         ))
 
@@ -461,26 +482,6 @@ class OmniPaxosServer(Replica):
         window = safety * self._config.hb_period_ms
         return inst.ble.quorum_heard_within(now_ms, window)
 
-    def trim(self, global_idx: Optional[int] = None) -> int:
-        """Compact the current configuration's replication log (leader only).
-
-        ``global_idx`` is in replicated-log coordinates; ``None`` trims as
-        far as currently safe (decided at every server). The service layer's
-        own copy of the log is kept — it is what log migration serves to
-        joining servers — so this reclaims replication-layer storage, like
-        segment archival in Delos-style designs. Returns the global index
-        trimmed to.
-        """
-        inst = self._current_instance()
-        if inst is None or not inst.active:
-            raise NotLeaderError("no active configuration at this server")
-        local = None if global_idx is None else max(
-            global_idx - inst.global_offset, 0
-        )
-        trimmed = inst.sp.trim(local)
-        self._pump()
-        return inst.global_offset + trimmed
-
     def propose_reconfiguration(self, servers: Tuple[int, ...],
                                 metadata: Optional[bytes] = None,
                                 now_ms: Optional[float] = None) -> None:
@@ -612,7 +613,7 @@ class OmniPaxosServer(Replica):
         # the next hand-out), so a crash can leave the volatile view ahead
         # of the disk. Those entries are decided again after the resync.
         proven = inst.global_offset + sp.decided_idx
-        del self._global_log[proven:]
+        self._log_len = min(self._log_len, proven)
         self._decided_out = [(idx, entry) for idx, entry in self._decided_out
                              if idx < proven]
         self._pump()
@@ -664,15 +665,11 @@ class OmniPaxosServer(Replica):
         ble = BallotLeaderElection(self._ble_config(cluster), initial_leader=seed)
         ble.set_observability(self._obs)
         ble.start(now_ms)
-        inst = _Instance(
-            cluster=cluster, sp=sp, ble=ble, global_offset=len(self._global_log)
-        )
-        if sp.decided_idx > 0:
-            # The storage factory handed us pre-decided state (e.g. a
-            # benchmark pre-loading the log): the service layer's replicated
-            # log must include it, silently (it is history, not news).
-            self._global_log.extend(storage.get_entries(0, sp.decided_idx))
-        self._instances[cluster.config_id] = inst
+        self._instances[cluster.config_id] = _Instance(
+            cluster=cluster, sp=sp, ble=ble, global_offset=self._log_len)
+        # Pre-decided state from the storage factory (a restart, a preloaded
+        # benchmark log) is history, not news: counted, not handed out.
+        self._log_len += sp.decided_idx
         self._current_cid = cluster.config_id
         self._migration = None
         self._pending_cluster = None
@@ -747,13 +744,13 @@ class OmniPaxosServer(Replica):
                     progressed = True
 
     def _apply_decided(self, inst: _Instance) -> bool:
-        """Move what ``inst`` newly decided into the replicated log;
+        """Extend the replicated log by what ``inst`` newly decided;
         returns whether there was anything."""
         decided = inst.sp.take_decided()
         for local_idx, entry in decided:
             global_idx = inst.global_offset + local_idx
-            if global_idx == len(self._global_log):
-                self._global_log.append(entry)
+            if global_idx == self._log_len:
+                self._log_len += 1
                 self._decided_out.append((global_idx, entry))
                 if is_stopsign(entry) and inst.active:
                     self._handle_stopsign(entry)
@@ -782,18 +779,17 @@ class OmniPaxosServer(Replica):
         self._announce_msg = NewConfiguration(
             config_id=new_cluster.config_id,
             servers=new_cluster.servers,
-            log_len=len(self._global_log),
+            log_len=self._log_len,
             donors=donors + (self.pid,),
             metadata=stopsign.metadata,
         )
         self._announce_deadlines = {
             peer: self._now for peer in new_cluster.servers if peer != self.pid
         }
+        self._pending_cluster = new_cluster
         if self.pid in new_cluster.servers:
-            self._pending_cluster = new_cluster
             self._start_instance(new_cluster, self._now, announce=True)
         else:
-            self._pending_cluster = new_cluster
             self._current_cid = None  # retired: donor only
 
     def _tick_announcements(self, now_ms: float) -> None:
@@ -810,8 +806,10 @@ class OmniPaxosServer(Replica):
         if isinstance(msg, NewConfiguration):
             self._on_new_configuration(src, msg, now_ms)
         elif isinstance(msg, LogPullRequest):
-            segment = serve_pull_request(self._global_log, msg)
-            self._send_service(src, segment)
+            segment = serve_pull_request(
+                msg, self.read_log, self._config.migration_chunk_entries)
+            if segment is not None:
+                self._send_service(src, segment)
         elif isinstance(msg, LogSegment):
             if self._migration is not None:
                 if self._obs.tracing:
@@ -840,16 +838,14 @@ class OmniPaxosServer(Replica):
                 self._migration.add_donor(src)
             return
         cluster = ClusterConfig(msg.config_id, msg.servers)
-        have = len(self._global_log)
-        if have >= msg.log_len:
-            self._pending_cluster = cluster
+        self._pending_cluster = cluster
+        if self._log_len >= msg.log_len:
             self._start_instance(cluster, now_ms, announce=True)
             return
         donors = [p for p in msg.donors if p != self.pid] or [src]
-        self._pending_cluster = cluster
         self._migration = MigrationPlan(
             config_id=msg.config_id,
-            from_idx=have,
+            from_idx=self._log_len,
             to_idx=msg.log_len,
             donors=donors,
             strategy=self._config.migration_strategy,
@@ -874,9 +870,12 @@ class OmniPaxosServer(Replica):
         if not migration.complete():
             return
         entries = migration.collected_entries()
-        for entry in entries:
-            self._global_log.append(entry)
-            self._decided_out.append((len(self._global_log) - 1, entry))
+        # Skip the head a continuing member's own instance decided meanwhile.
+        held = entries[len(entries) - (migration.target_len - self._log_len):]
+        if held:
+            self._migrated[self._log_len] = held
+            self._decided_out.extend(enumerate(held, start=self._log_len))
+            self._log_len += len(held)
         if self._obs.enabled:
             started = self._migration_started_ms
             duration = now_ms - started if started is not None else 0.0
@@ -887,6 +886,4 @@ class OmniPaxosServer(Replica):
             self._obs.histogram("repro_migration_duration_ms").observe(duration)
         self._migration_started_ms = None
         assert self._pending_cluster is not None
-        cluster = self._pending_cluster
-        self._migration = None
-        self._start_instance(cluster, now_ms, announce=True)
+        self._start_instance(self._pending_cluster, now_ms, announce=True)

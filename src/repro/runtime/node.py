@@ -357,13 +357,10 @@ class RuntimeNode:
                 return {"ok": False,
                         "error": "flight recorder off (observability "
                                  "disabled on this node)"}
-            path = request.get("path")
-            if path is not None:
-                try:
-                    written = self.dump_flight(path)
-                except OSError as exc:
-                    return {"ok": False, "error": f"cannot write {path}: {exc}"}
-                return {"ok": True, "path": path, "events_written": written}
+            if "path" in request:
+                return {"ok": False,
+                        "error": "flight writes no file a client names; a "
+                                 "node dumps to its own flight_dump_path"}
             return {"ok": True, "flight": self.flight.as_dict()}
         return {"ok": False,
                 "error": f"unknown command {cmd!r}; "

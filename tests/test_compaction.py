@@ -175,50 +175,10 @@ class TestSequencePaxosTrim:
         assert follower.compacted_idx == 1
 
 
-class TestServerTrim:
-    def test_server_trim_global_coordinates(self):
-        sim, servers = build_omni_cluster(3)
-        leader = run_until_leader(sim)
-        for i in range(10):
-            sim.propose(leader, Command(b"x", client_id=1, seq=i))
-        sim.run_for(100)
-        trimmed = servers[leader].trim()
-        sim.run_for(100)
-        assert trimmed == 10
-        sp = servers[leader].sp_of_current()
-        assert sp.compacted_idx == 10
-        # The service layer keeps the full replicated log (migration source).
-        assert servers[leader].global_log_len == 10
-        assert len(servers[leader].read_log()) == 10
-
-    def test_server_trim_non_leader_raises(self):
-        sim, servers = build_omni_cluster(3)
-        leader = run_until_leader(sim)
-        follower = next(p for p in servers if p != leader)
-        with pytest.raises(NotLeaderError):
-            servers[follower].trim()
-
-    def test_reconfig_still_works_after_trim(self):
-        sim, servers = build_omni_cluster(3, joiners=(4,))
-        leader = run_until_leader(sim)
-        for i in range(10):
-            sim.propose(leader, Command(b"x", client_id=1, seq=i))
-        sim.run_for(100)
-        servers[leader].trim()
-        sim.run_for(100)
-        sim.reconfigure(leader, (1, 2, 3, 4))
-        sim.run_for(3000)
-        # The joiner migrated the full log from the service layer even
-        # though the replication layer was compacted.
-        assert servers[4].global_log_len == 11
-
-
-    @pytest.mark.xfail(strict=True, raises=StorageError,
-                       reason="ROADMAP 4(b)")
+class TestServerOverTrimmedStorage:
     def test_restart_on_a_trimmed_file_storage(self, tmp_path):
-        """A server cannot restart on a WAL whose prefix was trimmed:
-        ``_start_instance`` rebuilds the service layer's log from index 0
-        of storage, which compaction gave away."""
+        """A server restarts on a WAL whose prefix was trimmed: the
+        service layer counts the decided prefix and reads nothing of it."""
         def server():
             return OmniPaxosServer(OmniPaxosConfig(
                 pid=1, cluster=ClusterConfig(0, (1,)),
@@ -235,11 +195,14 @@ class TestServerTrim:
             first.propose(Command(b"x", client_id=1, seq=i), 500.0)
         first.take_outbox()
         assert len(first.take_decided()) == 10
-        assert first.trim(5) == 5
+        assert first.sp_of_current().trim(5) == 5
         first.sp_of_current().storage.close()
         second = server()
         second.start(0.0)
         assert second.global_log_len == 10
+        assert [e.seq for e in second.read_log(5)] == [5, 6, 7, 8, 9]
+        with pytest.raises(StorageError):
+            second.read_log(4)  # compacted away
 
 
 class TestTrimRecoveryRegression:
@@ -252,7 +215,7 @@ class TestTrimRecoveryRegression:
         for i in range(5):
             sim.propose(leader, Command(b"x", client_id=1, seq=i))
         sim.run_for(100)
-        servers[leader].trim()
+        servers[leader].sp_of_current().trim()
         sim.run_for(100)
         follower = next(p for p in servers if p != leader)
         sim.crash(follower)

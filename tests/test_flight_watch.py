@@ -343,13 +343,14 @@ class TestAdminEndpoint:
                 assert summary["ok"] is True
                 assert summary["flight"]["recorded"] > 0
 
-                dump_path = str(tmp_path / "admin.flight.jsonl")
-                dumped = await _admin_request(
-                    host, port, {"cmd": "flight", "path": dump_path})
-                assert dumped["ok"] is True
-                assert dumped["events_written"] > 0
-                events, _m = read_jsonl(dump_path)
-                assert len(events) == dumped["events_written"]
+                # The endpoint is unauthenticated: it writes no file a
+                # client names.
+                dump_path = tmp_path / "admin.flight.jsonl"
+                refused = await _admin_request(
+                    host, port, {"cmd": "flight", "path": str(dump_path)})
+                assert refused["ok"] is False
+                assert "flight_dump_path" in refused["error"]
+                assert not dump_path.exists()
 
                 unknown = await _admin_request(host, port, {"cmd": "bogus"})
                 assert unknown["ok"] is False

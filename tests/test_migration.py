@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigError, MigrationError
+from repro.errors import ConfigError, MigrationError, StorageError
 from repro.omni.messages import LogPullRequest, LogSegment
 from repro.omni.reconfig import (
     LEADER_ONLY,
@@ -21,14 +21,18 @@ def plan(**kwargs):
     return MigrationPlan(**defaults)
 
 
+def segment(log, req, max_entries=10_000):
+    """A donor holding decided ``log`` answers ``req``."""
+    return serve_pull_request(req, lambda lo, hi: log[lo:hi], max_entries)
+
+
 def serve(plan_obj, log, now=0.0, only_donor=None):
     """Answer every outstanding request from ``log``; return #served."""
     served = 0
     for dst, req in plan_obj.take_outbox():
         if only_donor is not None and dst != only_donor:
             continue
-        seg = serve_pull_request(log, req)
-        plan_obj.on_segment(dst, seg, now)
+        plan_obj.on_segment(dst, segment(log, req), now)
         served += 1
     return served
 
@@ -75,7 +79,7 @@ class TestHappyPath:
         p.start(0.0)
         assert p.progress() == 0.0
         ((dst, req), *rest) = p.take_outbox()
-        p.on_segment(dst, serve_pull_request(LOG, req), 0.0)
+        p.on_segment(dst, segment(LOG, req), 0.0)
         assert 0.0 < p.progress() <= 0.5
 
     def test_collected_before_complete_raises(self):
@@ -115,7 +119,7 @@ class TestFlowControl:
         p = plan(chunk_entries=10, window_per_donor=1)
         p.start(0.0)
         ((dst, req),) = [(d, r) for d, r in p.take_outbox() if d == 2][:1]
-        p.on_segment(dst, serve_pull_request(LOG, req), 0.0)
+        p.on_segment(dst, segment(LOG, req), 0.0)
         refill = [d for d, _r in p.take_outbox() if d == 2]
         assert refill  # donor 2 got its next chunk immediately
 
@@ -135,7 +139,7 @@ class TestFailureHandling:
         p.start(0.0)
         ((dst, req),) = p.take_outbox()
         # Donor has only 30 entries decided.
-        p.on_segment(dst, serve_pull_request(LOG[:30], req), 0.0)
+        p.on_segment(dst, segment(LOG[:30], req), 0.0)
         ((dst2, req2),) = p.take_outbox()
         assert req2.from_idx == 30
         assert dst2 != dst  # rotated to a donor that may have more
@@ -144,7 +148,7 @@ class TestFailureHandling:
         p = plan(donors=[2, 3], chunk_entries=100, window_per_donor=1)
         p.start(0.0)
         ((dst, req),) = p.take_outbox()
-        p.on_segment(dst, serve_pull_request([], req), 0.0)
+        p.on_segment(dst, segment([], req), 0.0)
         assert p.take_outbox() == []  # no tight re-request loop
         p.tick(200.0)
         assert len(p.take_outbox()) == 1  # retried after the deadline
@@ -153,7 +157,7 @@ class TestFailureHandling:
         p = plan(chunk_entries=100, window_per_donor=1)
         p.start(0.0)
         ((dst, req),) = p.take_outbox()
-        seg = serve_pull_request(LOG, req)
+        seg = segment(LOG, req)
         p.on_segment(dst, seg, 0.0)
         p.on_segment(dst, seg, 0.0)
         assert p.complete()
@@ -206,17 +210,42 @@ class TestStrategies:
 
 class TestDonorServing:
     def test_full_range(self):
-        seg = serve_pull_request(LOG, LogPullRequest(1, 10, 20))
+        seg = segment(LOG, LogPullRequest(1, 10, 20))
         assert seg.entries == tuple(LOG[10:20])
         assert seg.complete
 
     def test_partial_range(self):
-        seg = serve_pull_request(LOG[:15], LogPullRequest(1, 10, 20))
+        seg = segment(LOG[:15], LogPullRequest(1, 10, 20))
         assert seg.entries == tuple(LOG[10:15])
         assert not seg.complete
 
     def test_nothing_available(self):
-        seg = serve_pull_request(LOG[:5], LogPullRequest(1, 10, 20))
+        seg = segment(LOG[:5], LogPullRequest(1, 10, 20))
         assert seg.entries == ()
         assert seg.from_idx == 10
         assert not seg.complete
+
+    @pytest.mark.parametrize("from_idx, to_idx", [(-3, 2), (-1, -1), (3, 1)])
+    def test_negative_or_inverted_range_served_nothing(self, from_idx, to_idx):
+        """A pull request is a peer's input: at the parent, (-3, 2) over
+        four entries came back as ``LogSegment(from_idx=-3, ('e1',),
+        complete=True)``."""
+        assert segment(LOG[:4], LogPullRequest(1, from_idx, to_idx)) is None
+
+    @pytest.mark.parametrize("to_idx", [26, 100, 10**9])
+    def test_oversized_range_capped_at_chunk(self, to_idx):
+        """One segment carries at most the donor's chunk size, marked
+        incomplete; the joiner asks again for the rest."""
+        seg = segment(LOG, LogPullRequest(1, 0, to_idx), max_entries=25)
+        assert seg.entries == tuple(LOG[:25])
+        assert not seg.complete
+
+    def test_chunk_sized_range_complete(self):
+        seg = segment(LOG, LogPullRequest(1, 25, 50), max_entries=25)
+        assert seg.entries == tuple(LOG[25:50])
+        assert seg.complete
+
+    def test_compacted_range_served_nothing(self):
+        def compacted(lo, hi):
+            raise StorageError(f"index {lo} was compacted away")
+        assert serve_pull_request(LogPullRequest(1, 0, 5), compacted, 25) is None

@@ -205,7 +205,9 @@ class TestMigrationProperties:
                 break
             requests = plan.take_outbox()
             for dst, req in requests:
-                seg = serve_pull_request(log[:have[dst]], req)
+                decided = log[:have[dst]]
+                seg = serve_pull_request(
+                    req, lambda lo, hi: decided[lo:hi], chunk)
                 plan.on_segment(dst, seg, now)
             now += 20.0
             plan.tick(now)
@@ -310,7 +312,6 @@ actions = st.lists(
         st.tuples(st.just("crash"), st.integers(1, 5)),
         st.tuples(st.just("recover"), st.integers(1, 5)),
         st.tuples(st.just("advance"), st.integers(1, 10)),
-        st.tuples(st.just("trim"), st.integers(1, 5)),
     ),
     min_size=5,
     max_size=40,
@@ -349,14 +350,6 @@ class TestSequenceConsensusProperties:
                 crashed.discard(arg)
             elif action == "advance":
                 sim.run_for(arg * 25.0)
-            elif action == "trim" and arg not in crashed:
-                # Compaction under chaos: only an Accept-phase leader with
-                # a fully-reported cluster may trim; refusals are expected.
-                from repro.errors import CompactionError, NotLeaderError
-                try:
-                    servers[arg].trim()
-                except (CompactionError, NotLeaderError):
-                    pass
             checker.check()
             check_all(srv for pid, srv in servers.items()
                       if pid not in crashed)

@@ -14,7 +14,7 @@ import pytest
 
 from repro.omni.entry import Command
 
-from tests.conftest import build_omni_cluster, run_until_leader
+from tests.conftest import build_omni_cluster, decided_logs_agree, run_until_leader
 
 
 def cmd(i: int) -> Command:
@@ -130,6 +130,28 @@ class TestStragglers:
         sim.run_for(6_000)
         assert servers[straggler].global_log_len == 21
         assert tuple(sorted(servers[straggler].members)) == (1, 2, 3, 4)
+
+    def test_slow_continuing_member_hands_out_each_entry_once(self):
+        """A continuing member on a slow link to the leader migrates the
+        tail of configuration 0 while its own instance is still deciding
+        it. Only the part it has not decided itself may join its log: it
+        used to append the whole migrated range after what it decided
+        meanwhile (102 entries, seq 90 handed out twice)."""
+        sim, servers = build_omni_cluster(5, initial_leader=3, joiners=(6,))
+        sim.network.set_latency(3, 5, 10.0)
+        handed = []
+        sim.on_decided(lambda pid, idx, entry, _now:
+                       handed.append((idx, entry)) if pid == 5 else None)
+        for i in range(100):
+            sim.propose(3, cmd(i))
+            sim.run_for(0.5)
+        sim.reconfigure(3, (1, 2, 3, 4, 5, 6))
+        sim.run_for(3_000)
+        assert decided_logs_agree(servers)
+        assert {s.global_log_len for s in servers.values()} == {101}
+        assert [idx for idx, _entry in handed] == list(range(101))
+        seqs = [e.seq for _idx, e in handed if isinstance(e, Command)]
+        assert sorted(seqs) == list(range(100))
 
     def test_new_config_makes_progress_before_straggler_joins(self):
         """The new configuration does not wait for stragglers: a majority of

@@ -432,4 +432,5 @@ class TestStopSign:
         for i in range(4):
             nodes[1].propose(cmd(i))
         net.deliver_all()
-        assert [e.seq for e in nodes[2].read_decided(1)] == [1, 2, 3]
+        assert [e.seq for e in nodes[2].read_decided(1, 99)] == [1, 2, 3]
+        assert [e.seq for e in nodes[2].read_decided(1, 3)] == [1, 2]
