@@ -7,8 +7,9 @@
    workload, only the migration scheme differs (Figure 6a vs 6b).
 3. **Ballot priority field** — the custom field ``c`` in ``b = (n, c, pid)``
    steers leadership without affecting liveness (paper section 5.2).
-4. **Batching** — pipeline (CP) scaling of throughput, the reason deciding
-   in parallel vs in sequence makes no difference (paper section 9).
+4. **Connectivity-aware ballots** — stamping measured connectivity into
+   the ballot makes a better-connected candidate win the succession
+   after a leader death (paper section 8).
 """
 
 import pytest
@@ -16,7 +17,6 @@ import pytest
 from repro.omni.server import ClusterConfig, OmniPaxosConfig, OmniPaxosServer
 from repro.sim.cluster import SimCluster
 from repro.sim.events import EventQueue
-from repro.sim.harness import ExperimentConfig, build_experiment
 from repro.sim.network import NetworkParams, SimNetwork
 from repro.sim.partitions import quorum_loss
 from repro.sim.reconfig_experiment import run_reconfiguration_experiment
@@ -169,72 +169,3 @@ def test_ablation_connectivity_priority(benchmark):
     )
     assert plain == 4       # highest pid wins despite worse connectivity
     assert aware in (2, 3)  # a fully-connected candidate wins
-
-
-def test_ablation_multigroup_scaling(benchmark):
-    """Sharding across independent Omni-Paxos groups multiplies aggregate
-    throughput (TiKV/Dragonboat-style multi-group deployment)."""
-    from repro.kv.store import KVCommand
-    from repro.multigroup import MultiGroupCluster, ShardedKVStore
-
-    def run():
-        out = {}
-        for groups in (1, 4):
-            cluster = MultiGroupCluster(num_machines=3, num_groups=groups,
-                                        hb_period_ms=50.0)
-            cluster.wait_for_leaders()
-            kv = ShardedKVStore(cluster)
-            written = 0
-            start = cluster.now
-            # Fixed offered load per group leader per step.
-            for step in range(100):
-                leaders = cluster.leaders()
-                for group, machine in leaders.items():
-                    if machine is None:
-                        continue
-                    store = kv._stores[(group, machine)]
-                    for j in range(8):
-                        store.submit(
-                            KVCommand("put", f"g{group}-s{step}-{j}", "x"),
-                            cluster.now)
-                        written += 1
-                cluster.run_for(10)
-            cluster.run_for(200)
-            applied = sum(kv.shard_sizes().values())
-            out[groups] = (written, applied,
-                           applied / ((cluster.now - start) / 1000.0))
-        return out
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_rows(
-        "ablation_multigroup",
-        "aggregate applied throughput vs number of groups (3 machines)",
-        [f"groups={g}: offered={w} applied={a} ({tp:8.0f} ops/s)"
-         for g, (w, a, tp) in out.items()],
-    )
-    # Four groups absorb ~4x the single group's offered load.
-    assert out[4][1] > 3 * out[1][1]
-
-
-def test_ablation_pipeline_scaling(benchmark):
-    """Throughput scales ~linearly with CP until the pipeline saturates —
-    why pipelined sequence replication matches per-slot deciding."""
-
-    def run():
-        out = {}
-        for cp in (8, 32, 128):
-            cfg = ExperimentConfig(protocol="omni", num_servers=3,
-                                   election_timeout_ms=100.0,
-                                   initial_leader=3, seed=1)
-            exp = build_experiment(cfg)
-            client = exp.make_client(concurrent_proposals=cp)
-            exp.cluster.run_for(run_duration_ms())
-            out[cp] = client.tracker.throughput(500, exp.cluster.now)
-        return out
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
-    record_rows("ablation_pipeline",
-                "throughput vs concurrent proposals (CP)",
-                [f"cp={cp:4d}: {tp:10.0f} ops/s" for cp, tp in out.items()])
-    assert out[32] > 2 * out[8]
-    assert out[128] > 2 * out[32]

@@ -6,14 +6,17 @@ deterministic; every replica that applies the same decided prefix holds the
 same map — the tests assert exactly this across partitions and recoveries.
 
 Supported operations: ``put``, ``get``, ``delete``, ``cas`` (compare-and-
-swap). Reads go through the log too, which makes them linearizable (the
-classic RSM read path; lease-based local reads are future work, as for most
-production RSMs).
+swap). A ``get`` goes through the log, which makes it linearizable; the
+leader may also serve a local read under its read lease
+(:meth:`ReplicatedKVStore.read_leased`).
 
 Client sessions: each command carries ``(client_id, seq)``; a command whose
 sequence number is not greater than the session's last applied one is a
 duplicate (a client retry that raced a decided original) and is skipped, so
 retried writes stay exactly-once.
+
+Decided entries are client input: an entry that does not decode to a KV
+command is skipped and changes neither the map nor the sessions.
 """
 
 from __future__ import annotations
@@ -48,6 +51,10 @@ class KVCommand:
     def __post_init__(self) -> None:
         if self.op not in _OPS:
             raise KVError(f"unknown op {self.op!r}")
+        if not isinstance(self.key, str) or not all(
+                v is None or isinstance(v, str)
+                for v in (self.value, self.expected)):
+            raise KVError("key, value and expected must be strings")
         if self.op == OP_PUT and self.value is None:
             raise KVError("put needs a value")
         if self.op == OP_CAS and self.value is None:
@@ -78,11 +85,17 @@ def encode_command(cmd: KVCommand, client_id: int = 0, seq: int = 0) -> Command:
 
 
 def decode_command(entry: Command) -> KVCommand:
-    """Deserialize a replication-layer Command back into a KV command."""
+    """Deserialize a replication-layer Command back into a KV command;
+    :class:`KVError` for an entry of any other shape."""
+    if not isinstance(entry.data, bytes) or not all(
+            isinstance(n, int) for n in (entry.client_id, entry.seq)):
+        raise KVError(f"not a KV entry: {entry!r}")
     try:
         payload = json.loads(entry.data.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # UnicodeDecodeError included
         raise KVError(f"malformed KV payload: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise KVError(f"KV payload is not an object: {payload!r}")
     try:
         return KVCommand(
             op=payload["op"],
@@ -118,7 +131,6 @@ class KVStateMachine:
         self._data: Dict[str, str] = {}
         #: Highest applied sequence number per client session.
         self._sessions: Dict[int, int] = {}
-        self._applied = 0
 
     def to_snapshot(self) -> Dict[str, Any]:
         """Serializable state for snapshot-based log compaction."""
@@ -132,10 +144,6 @@ class KVStateMachine:
         self._data = dict(state["data"])
         self._sessions = dict(state["sessions"])
 
-    @property
-    def applied_count(self) -> int:
-        return self._applied
-
     def snapshot(self) -> Dict[str, str]:
         """A copy of the current map (for tests and debugging)."""
         return dict(self._data)
@@ -145,14 +153,17 @@ class KVStateMachine:
         return self._data.get(key)
 
     def apply(self, entry: Command, log_idx: int) -> Optional[KVResult]:
-        """Apply one decided entry; returns None for duplicates."""
+        """Apply one decided entry; returns None, changing nothing, for a
+        duplicate and for an entry that is not a KV command."""
+        try:
+            cmd = decode_command(entry)
+        except KVError:
+            return None
         if entry.client_id != 0:
             last = self._sessions.get(entry.client_id, -1)
             if entry.seq <= last:
                 return None  # duplicate retry of an already-applied command
             self._sessions[entry.client_id] = entry.seq
-        cmd = decode_command(entry)
-        self._applied += 1
         if cmd.op == OP_PUT:
             self._data[cmd.key] = cmd.value  # type: ignore[assignment]
             return KVResult(cmd.op, cmd.key, cmd.value, True, log_idx)
@@ -188,8 +199,6 @@ class ReplicatedKVStore:
         self._machine = KVStateMachine()
         #: seq -> result, filled as decided entries are applied.
         self._results: Dict[int, KVResult] = {}
-        #: key -> callbacks invoked as (key, new_value_or_None, log_idx).
-        self._watchers: Dict[str, List[Any]] = {}
 
     @property
     def server(self):
@@ -235,24 +244,7 @@ class ReplicatedKVStore:
             return None
         if entry.client_id == self._client_id:
             self._results[entry.seq] = result
-        if result.ok and result.op in (OP_PUT, OP_DELETE, OP_CAS):
-            for callback in self._watchers.get(result.key, ()):
-                callback(result.key, self._machine.lookup(result.key), idx)
         return result
-
-    def watch(self, key: str, callback) -> None:
-        """Invoke ``callback(key, new_value, log_idx)`` whenever a decided
-        write changes ``key`` at this replica.
-
-        Watches are local observers of the decided stream (as in etcd /
-        ZooKeeper clients); they fire after the write is applied, in log
-        order, exactly once per successful mutation.
-        """
-        self._watchers.setdefault(key, []).append(callback)
-
-    def unwatch(self, key: str) -> None:
-        """Remove every watcher on ``key``."""
-        self._watchers.pop(key, None)
 
     def result(self, seq: int) -> Optional[KVResult]:
         """The decided result of a submitted command, if available yet."""

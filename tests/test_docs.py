@@ -92,7 +92,8 @@ class TestDocReferences:
 
     def test_design_inventory_tree_matches_the_source(self):
         """DESIGN.md section 3: every file or directory the fenced tree
-        names exists, and every package under ``src/repro/`` is in it."""
+        names exists, and every package and every module under
+        ``src/repro/`` is in it."""
         text = (ROOT / "DESIGN.md").read_text()
         section = text[text.index("## 3. Repository inventory"):]
         tree = FENCE_RE.search(section).group(0).splitlines()[1:-1]
@@ -108,11 +109,13 @@ class TestDocReferences:
             named.add("/".join(stack + [entry.rstrip("/")]))
             if entry.endswith("/"):
                 stack.append(entry.rstrip("/"))
-        assert len(named) > 80
         for path in sorted(named):
             assert (ROOT / path).exists(), f"DESIGN.md names missing {path}"
-        packages = {f"src/repro/{child.name}"
-                    for child in (ROOT / "src" / "repro").iterdir()
+        source = ROOT / "src" / "repro"
+        expected = {f"src/repro/{child.name}" for child in source.iterdir()
                     if (child / "__init__.py").exists()}
-        assert packages <= named, sorted(packages - named)
+        expected |= {path.relative_to(ROOT).as_posix()
+                     for path in source.rglob("*.py")
+                     if path.name != "__init__.py"}
+        assert expected <= named, sorted(expected - named)
 

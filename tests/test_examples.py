@@ -26,6 +26,8 @@ def test_example_runs_clean(script):
 
 
 def test_all_examples_present():
-    names = {p.name for p in EXAMPLES}
-    assert "quickstart.py" in names
-    assert len(names) >= 6
+    assert {p.name for p in EXAMPLES} == {
+        "kv_store_cluster.py", "log_compaction.py",
+        "partial_connectivity_demo.py", "quickstart.py",
+        "reconfiguration_demo.py",
+    }

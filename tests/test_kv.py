@@ -9,10 +9,29 @@ from repro.kv.store import (
     ReplicatedKVStore,
     decode_command,
     encode_command,
+    kv_snapshotter,
 )
 from repro.omni.entry import Command
 
 from tests.conftest import build_omni_cluster, run_until_leader
+
+
+def _entries(*payloads):
+    return [Command(p, client_id=7, seq=0) for p in payloads]
+
+
+#: Decided entries of the wrong shape: a payload that is not an object, a
+#: field that is not a string, a payload that is not bytes, a sequence
+#: number that is not an int.
+MISSHAPEN = _entries(
+    b"[1]", b'"x"', b"null",
+    b'{"op": "put", "key": 5, "value": "1"}',
+    b'{"op": "put", "key": "k", "value": 1}',
+    b'{"op": "cas", "key": "k", "value": "1", "expected": 0}',
+    '{"op": "get", "key": "k"}',
+) + [Command(b'{"op": "get", "key": "k"}', client_id=7, seq="0")]
+#: Every decided entry the state machine must skip without raising.
+UNDECODABLE = _entries(b"not json", b"\xff", b'{"op": "put"}') + MISSHAPEN
 
 
 class TestCommandValidation:
@@ -49,6 +68,11 @@ class TestCodec:
     def test_missing_field_raises(self):
         with pytest.raises(KVError):
             decode_command(Command(data=b'{"op": "put"}'))
+
+    @pytest.mark.parametrize("entry", MISSHAPEN)
+    def test_misshapen_entry_raises_kv_error(self, entry):
+        with pytest.raises(KVError):
+            decode_command(entry)
 
 
 class TestStateMachine:
@@ -122,6 +146,16 @@ class TestStateMachine:
         self.apply(m, KVCommand("put", "a", "1"), client=0, seq=0)
         result = self.apply(m, KVCommand("put", "a", "2"), client=0, seq=0)
         assert result is not None
+
+    @pytest.mark.parametrize("entry", UNDECODABLE)
+    def test_undecodable_entry_changes_nothing(self, entry):
+        m = KVStateMachine()
+        assert m.apply(entry, 0) is None
+        assert m.to_snapshot() == {"data": {}, "sessions": {}}
+        # The client's genuine command at the same seq still applies.
+        genuine = encode_command(KVCommand("put", "k", "v"), 7, 0)
+        assert m.apply(genuine, 1).ok
+        assert kv_snapshotter([entry, genuine], None) == m.to_snapshot()
 
     def test_snapshot_is_copy(self):
         m = KVStateMachine()
