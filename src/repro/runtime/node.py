@@ -249,6 +249,8 @@ class RuntimeNode:
     def _handle_message(self, src: int, payload: Any) -> None:
         # No drain scheduled: the mesh calls _drain itself once it has
         # delivered every message of this socket read.
+        if not self._running:
+            return  # stopped, or stopping: a dead node hears nothing
         try:
             self._replica.on_message(src, payload, self._now_ms())
         except StorageError:

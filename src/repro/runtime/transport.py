@@ -6,8 +6,13 @@ session-based FIFO perfect link the protocols assume, paper section 3);
 inbound connections are receive-only. Broken connections reconnect with
 *decorrelated-jitter* backoff — pure exponential backoff would make every
 peer of a healed partition retry in lockstep, re-colliding on each wave —
-and a re-established *outbound* session triggers the session-drop
-callback so protocols can run their PrepareReq handling (section 4.1.3).
+but an inbound connection ends every back-off: a peer that dials in is
+listening again, so each dial loop retries at once instead of leaving the
+return leg down for the rest of its delay. A re-established *outbound*
+session triggers the session-drop callback so protocols can run their
+PrepareReq handling (section 4.1.3). Closing the mesh closes the inbound
+connections too, so peers see the session end at once, and nothing that
+arrives afterwards is delivered.
 
 Wire path: frames are encoded and decoded by :mod:`repro.runtime.codec`,
 the only module that knows the format. Outbound frames are *coalesced*
@@ -39,7 +44,7 @@ import contextlib
 import logging
 import random
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, Optional, Set, Tuple
 
 from repro.encoding import register_message
 from repro.errors import TransportError
@@ -64,6 +69,11 @@ DEFAULT_MAX_WRITE_BUFFER_BYTES = 4 * 1024 * 1024
 #: What asyncio's selector transport asks ``recv`` for on every socket
 #: read (``_SelectorSocketTransport.max_size``), as a fresh ``bytes``.
 _ASYNCIO_READ_BYTES = 256 * 1024
+
+#: Reconnect back-off: the first delay, and the cap the decorrelated
+#: jitter never draws past (seconds).
+RECONNECT_INITIAL_S = 0.050
+RECONNECT_MAX_S = 2.0
 
 
 def _keep_read_buffers_on_the_heap() -> None:
@@ -147,8 +157,6 @@ class TcpMesh(Instrumented):
         on_message: MessageHandler,
         on_session_restored: Optional[SessionHandler] = None,
         on_batch_end: Optional[Callable[[], None]] = None,
-        reconnect_initial_ms: float = 50.0,
-        reconnect_max_ms: float = 2_000.0,
         rng: Optional[random.Random] = None,
         ping_interval_ms: Optional[float] = None,
         on_rtt: Optional[Callable[[int, float], None]] = None,
@@ -165,12 +173,9 @@ class TcpMesh(Instrumented):
         #: Called once after the messages of one socket read were all
         #: handed to ``on_message`` — where the owner acts on the batch.
         self._on_batch_end = on_batch_end
-        self._reconnect_initial = reconnect_initial_ms / 1000.0
-        self._reconnect_max = reconnect_max_ms / 1000.0
         #: Jitter source (injectable for deterministic tests); seeded from
         #: the pid by default so each server draws an independent stream.
         self._rng = rng if rng is not None else random.Random(pid)
-        self.reconnect_attempts = 0
         self._ping_interval = (
             None if ping_interval_ms is None else ping_interval_ms / 1000.0
         )
@@ -188,16 +193,21 @@ class TcpMesh(Instrumented):
         self.link_rtt_ms: Dict[int, float] = {}
         self._ping_task: Optional[asyncio.Task] = None
         self._writers: Dict[int, asyncio.StreamWriter] = {}
+        #: Accepted connections, closed with the mesh: the listening
+        #: server's ``close`` leaves them open.
+        self._inbound_writers: Set[asyncio.StreamWriter] = set()
         self._dial_tasks: Dict[int, asyncio.Task] = {}
+        #: Resolved, then replaced, by every accepted connection; a dial
+        #: loop backs off until its delay passes or this resolves.
+        self._dialled_in: Optional[asyncio.Future] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._closed = False
-        #: Peers we had connected to at least once (to detect re-sessions).
-        self._had_session: set = set()
 
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
         """Begin listening and dialing all peers."""
+        self._dialled_in = asyncio.get_running_loop().create_future()
         self._server = await asyncio.start_server(
             self._handle_inbound, self._listen.host, self._listen.port
         )
@@ -218,11 +228,14 @@ class TcpMesh(Instrumented):
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
         self.flush()
-        for writer in self._writers.values():
+        writers = [*self._writers.values(), *self._inbound_writers]
+        for writer in writers:
             writer.close()
+        for writer in writers:
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
         self._writers.clear()
+        self._inbound_writers.clear()
         self._staged.clear()
         self._staged_frames.clear()
         if self._server is not None:
@@ -354,11 +367,20 @@ class TcpMesh(Instrumented):
 
     async def _handle_inbound(self, reader: asyncio.StreamReader,
                               writer: asyncio.StreamWriter) -> None:
+        if self._closed:
+            writer.close()
+            return
+        self._inbound_writers.add(writer)
+        # Whoever dialled in is listening again: end every back-off. The
+        # socket names no pid until its first frame, and a peer may send
+        # nothing until it hears from us, so every dial loop retries.
+        self._dialled_in.set_result(None)
+        self._dialled_in = asyncio.get_running_loop().create_future()
         decoder = FrameDecoder()
         try:
-            while not self._closed:
+            while True:
                 data = await reader.read(64 * 1024)
-                if not data:
+                if not data or self._closed:
                     break
                 # ``drop``: why this connection must close, if it must. A
                 # corrupt frame leaves the stream unframeable; good frames
@@ -402,6 +424,7 @@ class TcpMesh(Instrumented):
             # Loop teardown while this handler was mid-read: exit quietly.
             pass
         finally:
+            self._inbound_writers.discard(writer)
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
@@ -449,24 +472,30 @@ class TcpMesh(Instrumented):
             pass
 
     async def _dial_loop(self, pid: int) -> None:
-        """Keep one outbound connection to ``pid`` alive, with backoff."""
+        """Keep one outbound connection to ``pid`` alive, with backoff.
+
+        An inbound connection ends every back-off: the loop retries at
+        once, and a retry that fails again goes on with the jitter
+        schedule from the delay it had, so a peer that is still down costs
+        at most one extra attempt per inbound connection.
+        """
         addr = self._peers[pid]
-        delay = self._reconnect_initial
+        delay = RECONNECT_INITIAL_S
         while not self._closed:
-            self.reconnect_attempts += 1
             if self._obs.enabled:
                 self._obs.counter("repro_reconnect_attempts_total",
                                   src=self._pid, peer=pid).inc()
+            # Taken before the attempt, so a peer that dials in while it
+            # is being refused still cuts the back-off short.
+            dialled_in = self._dialled_in
             try:
                 reader, writer = await asyncio.open_connection(addr.host, addr.port)
             except OSError:
-                await asyncio.sleep(delay)
+                await asyncio.wait((dialled_in,), timeout=delay)
                 delay = decorrelated_jitter(
-                    self._rng, self._reconnect_initial, delay,
-                    self._reconnect_max,
-                )
+                    self._rng, RECONNECT_INITIAL_S, delay, RECONNECT_MAX_S)
                 continue
-            delay = self._reconnect_initial
+            delay = RECONNECT_INITIAL_S
             self._writers[pid] = writer
             # Fire on every established session, including the first:
             # messages sent before the dial completed were dropped (exactly
@@ -474,7 +503,6 @@ class TcpMesh(Instrumented):
             # session-drop handling (PrepareReq) to resynchronize.
             if self._on_session_restored is not None:
                 self._on_session_restored(pid)
-            self._had_session.add(pid)
             # The outbound connection is write-only; wait for it to break.
             try:
                 while not self._closed:
