@@ -40,7 +40,7 @@ from repro.obs.events import (
     RecoveryStarted,
     RoleChanged,
 )
-from repro.obs.health import GrayFailureDetector, SelfDegradationMonitor
+from repro.obs.health import GrayFailureDetector
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import entry_trace_id
 from repro.omni.entry import SnapshotInstalled, entry_wire_size
@@ -184,14 +184,6 @@ class RaftConfig:
     heartbeat_ms: Optional[float] = None
     prevote: bool = False
     check_quorum: bool = False
-    #: Opt-in graceful degradation (the Raft analogue of Omni's
-    #: gray-aware BLE): the server watches its own tick cadence through a
-    #: :class:`~repro.obs.health.SelfDegradationMonitor`; while it scores
-    #: itself fail-slow it declines candidacy and, if leader, steps down
-    #: voluntarily — so a 100×-slowed leader hands over instead of
-    #: heartbeating just often enough to hold the cluster hostage.
-    #: Default off; default behaviour is untouched.
-    gray_aware: bool = False
     max_entries_per_msg: int = 4096
     #: Deterministic fold ``(entries, prev_state) -> state``; enables
     #: snapshot-based catch-up (and is required for log compaction).
@@ -303,7 +295,6 @@ class RaftStats:
     prevotes_started: int = 0
     leader_changes: int = 0
     stepdowns_check_quorum: int = 0
-    stepdowns_self_degraded: int = 0
     max_term_seen: int = 0
     snapshots_sent: int = 0
 
@@ -366,23 +357,12 @@ class RaftReplica(Replica):
             pid=config.pid,
             expected_interval_ms=config.heartbeat_interval,
         )
-        #: Gray-aware mode only: scores this server's own tick cadence.
-        #: Self-baseline mode (no expected interval) because the driver's
-        #: tick period is its own healthy reference — whatever cadence the
-        #: harness drives at, a fail-slow node stretches it by the
-        #: slowdown factor.
-        self._self_monitor: Optional[SelfDegradationMonitor] = (
-            SelfDegradationMonitor(config.pid, expected_interval_ms=None)
-            if config.gray_aware else None
-        )
         self._last_health_at: Optional[float] = None
         self._health_round = 0
         self.stats = RaftStats()
 
     def _on_observability(self, registry: MetricsRegistry) -> None:
         self._gray.bind(registry)
-        if self._self_monitor is not None:
-            self._self_monitor.bind(registry)
 
     # ------------------------------------------------------------------
     # Replica interface: accessors
@@ -426,14 +406,6 @@ class RaftReplica(Replica):
     def gray_detector(self) -> GrayFailureDetector:
         """This server's gray-failure detector (health observatory)."""
         return self._gray
-
-    @property
-    def self_degraded(self) -> bool:
-        """Whether this server currently scores *itself* fail-slow.
-
-        Always False outside ``gray_aware`` mode."""
-        return (self._self_monitor is not None
-                and self._self_monitor.degraded)
 
     def _peers_heard(self, now_ms: float) -> Tuple[int, ...]:
         """Peers heard within one election timeout.
@@ -497,10 +469,6 @@ class RaftReplica(Replica):
             "log_len": len(self._log),
             "decided_idx": self._commit_idx,
             "degraded": self._gray.snapshot(),
-            "self_health": (
-                None if self._self_monitor is None
-                else self._self_monitor.snapshot()
-            ),
         }
 
     # ------------------------------------------------------------------
@@ -535,15 +503,6 @@ class RaftReplica(Replica):
     def tick(self, now_ms: float) -> None:
         if self._crashed or not self._started:
             return
-        if self._self_monitor is not None:
-            self._self_monitor.observe_fire(now_ms)
-            if self._role is RaftRole.LEADER and self._self_monitor.degraded:
-                # Gray-aware: a self-diagnosed fail-slow leader abdicates
-                # voluntarily instead of limping along on just-frequent-
-                # enough heartbeats. Safe in Raft — stepping down never
-                # violates safety, only costs one election.
-                self.stats.stepdowns_self_degraded += 1
-                self._step_down(self._term, now_ms, leader=None)
         if self._role is RaftRole.LEADER:
             if now_ms >= self._heartbeat_deadline:
                 self._broadcast_append(heartbeat=True)
@@ -700,11 +659,6 @@ class RaftReplica(Replica):
     # ------------------------------------------------------------------
 
     def _can_campaign(self) -> bool:
-        if self.self_degraded:
-            # Gray-aware: a self-diagnosed fail-slow server declines
-            # candidacy — it would win (its log is fresh) and immediately
-            # be the problem again.
-            return False
         return self._voters is not None and self.pid in self._voters
 
     def _majority(self) -> int:

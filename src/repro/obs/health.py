@@ -25,12 +25,7 @@ servers. This module makes that connectivity state observable:
   stream into a live snapshot for the ``repro-obs watch`` dashboard.
 
 Everything here is passive bookkeeping over events the protocols already
-emit; by default nothing feeds back into protocol decisions. The one
-deliberate exception is :class:`SelfDegradationMonitor`, which the opt-in
-``gray_aware`` protocol mode consults so a node that observes *itself*
-fail-slow can gracefully demote its own candidacy (the reaction half of
-docs/CHAOS.md "Fail-slow (gray) faults") — strictly config-gated, inert
-otherwise.
+emit; nothing feeds back into protocol decisions.
 """
 
 from __future__ import annotations
@@ -341,138 +336,6 @@ class GrayFailureDetector:
                 ),
             }
             for peer, s in sorted(self.peers.items())
-        }
-
-
-class SelfDegradationMonitor:
-    """Score a node's *own* slowness from its timer-callback intervals.
-
-    The complement of :class:`GrayFailureDetector`: instead of watching
-    peers, a node watches the cadence of its own timer loop. A fail-slow
-    node (100×-scaled clock, blocked fsyncs, CPU starvation) fires its
-    heartbeat/tick callbacks late by exactly the slowdown factor — the one
-    signal that needs no peer cooperation and is available before any
-    remote observer can vote. This is what the opt-in ``gray_aware`` mode
-    feeds on: a node that scores *itself* degraded demotes its own
-    candidacy so leadership drains away gracefully instead of limping.
-
-    Two baselines, one per caller style:
-
-    - **Expected-interval mode** (``expected_interval_ms`` given): the
-      caller knows its own period — Omni's BLE fires a round every
-      ``hb_period_ms`` — so the ratio is observed interval over the
-      configured period.
-    - **Self-baseline mode** (``expected_interval_ms=None``): the caller
-      only has a tick cadence that may legitimately vary (Raft's
-      randomized timeouts); the healthy baseline is the smallest interval
-      EWMA ever seen, the same trick :class:`GrayFailureDetector` plays
-      with RTTs.
-
-    Hysteresis (``degraded_factor``/``recover_factor``) matches the peer
-    detector so both halves of the health story trip on the same scale.
-    Degradation events reuse :class:`~repro.obs.events.PeerDegraded` /
-    :class:`~repro.obs.events.PeerRecovered` with ``peer == pid`` — a
-    self-loop in the health graph, so every existing sink (monitor,
-    timeline, flight recorder) renders the self-verdict for free.
-    """
-
-    def __init__(
-        self,
-        pid: int,
-        expected_interval_ms: Optional[float] = None,
-        degraded_factor: float = 3.0,
-        recover_factor: float = 1.5,
-        alpha: float = 0.3,
-        min_interval_floor_ms: float = 1.0,
-    ):
-        self.pid = pid
-        self.expected_interval_ms = expected_interval_ms
-        self.degraded_factor = degraded_factor
-        self.recover_factor = recover_factor
-        self.alpha = alpha
-        self.min_interval_floor_ms = min_interval_floor_ms
-        self.interval_ewma: Optional[float] = None
-        #: Smallest EWMA ever seen (self-baseline mode only).
-        self.baseline: Optional[float] = None
-        self.degraded = False
-        self.score = 0.0
-        self._last_at: Optional[float] = None
-        self._obs: MetricsRegistry = NULL_REGISTRY
-
-    def bind(self, registry: MetricsRegistry) -> None:
-        """Emit events/metrics into ``registry`` from now on."""
-        self._obs = registry
-
-    # -- signal intake -------------------------------------------------------
-
-    def observe_fire(self, now_ms: float) -> None:
-        """The node's own timer callback fired at ``now_ms``."""
-        last = self._last_at
-        self._last_at = now_ms
-        if last is None:
-            return
-        self.observe_interval(now_ms - last)
-
-    def observe_interval(self, interval_ms: float) -> None:
-        """A measured gap between two of the node's own timer firings."""
-        interval = max(interval_ms, self.min_interval_floor_ms)
-        if self.interval_ewma is None:
-            self.interval_ewma = interval
-        else:
-            self.interval_ewma += self.alpha * (
-                interval - self.interval_ewma
-            )
-        if self.expected_interval_ms is None:
-            if self.baseline is None or self.interval_ewma < self.baseline:
-                self.baseline = max(self.interval_ewma,
-                                    self.min_interval_floor_ms)
-        self._rescore()
-
-    # -- scoring -------------------------------------------------------------
-
-    def _expected(self) -> Optional[float]:
-        if self.expected_interval_ms is not None:
-            return max(self.expected_interval_ms, self.min_interval_floor_ms)
-        return self.baseline
-
-    def _rescore(self) -> None:
-        expected = self._expected()
-        if expected is None or self.interval_ewma is None:
-            return
-        self.score = self.interval_ewma / expected
-        if not self.degraded and self.score >= self.degraded_factor:
-            self.degraded = True
-            if self._obs.enabled:
-                self._obs.emit(PeerDegraded(
-                    pid=self.pid, peer=self.pid,
-                    score=round(self.score, 3), reason="self_interval",
-                ))
-                self._obs.counter("repro_self_degraded_total",
-                                  pid=self.pid).inc()
-                self._obs.gauge("repro_self_degraded",
-                                pid=self.pid).set(1.0)
-        elif self.degraded and self.score <= self.recover_factor:
-            self.degraded = False
-            if self._obs.enabled:
-                self._obs.emit(PeerRecovered(
-                    pid=self.pid, peer=self.pid,
-                    score=round(self.score, 3),
-                ))
-                self._obs.gauge("repro_self_degraded",
-                                pid=self.pid).set(0.0)
-
-    def snapshot(self) -> Dict[str, Any]:
-        """JSON-safe state (for ``status()`` and the admin API)."""
-        return {
-            "degraded": self.degraded,
-            "score": round(self.score, 3),
-            "interval_ewma_ms": (
-                None if self.interval_ewma is None
-                else round(self.interval_ewma, 3)
-            ),
-            "baseline_ms": (
-                None if self.baseline is None else round(self.baseline, 3)
-            ),
         }
 
 

@@ -27,8 +27,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.obs.events import BallotBumped, BallotElected, QCFlagChanged
-from repro.obs.health import SelfDegradationMonitor
-from repro.obs.registry import Instrumented, MetricsRegistry
+from repro.obs.registry import Instrumented
 from repro.omni.ballot import Ballot, BOTTOM
 from repro.omni.messages import HeartbeatReply, HeartbeatRequest
 
@@ -56,18 +55,6 @@ class BLEConfig:
     #: because some server got better connected (the paper's stability
     #: argument).
     connectivity_priority: bool = False
-    #: Opt-in graceful degradation (the reaction half of docs/CHAOS.md
-    #: "Fail-slow (gray) faults"): the server watches the cadence of its
-    #: *own* heartbeat rounds through a
-    #: :class:`~repro.obs.health.SelfDegradationMonitor`. While it scores
-    #: itself fail-slow it advertises ``qc=False``, withholds its own
-    #: ballot from candidacy, demotes its ballot priority, and declines
-    #: takeover bumps — so leadership drains away from a limping node in
-    #: O(heartbeat rounds) instead of the node clinging on forever (a
-    #: 100×-slowed leader still answers heartbeats promptly, so default
-    #: BLE never displaces it). Off by default; the default path is
-    #: byte-identical with this flag unset.
-    gray_aware: bool = False
 
     def __post_init__(self) -> None:
         if self.pid <= 0:
@@ -141,13 +128,6 @@ class BallotLeaderElection(Instrumented):
         self._leaderless_since: Optional[float] = None
         self._outbox: List[Tuple[int, Any]] = []
         self._leader_events: List[Ballot] = []
-        #: Gray-aware mode only: scores this server's own round cadence.
-        self._self_monitor: Optional[SelfDegradationMonitor] = (
-            SelfDegradationMonitor(
-                config.pid, expected_interval_ms=config.hb_period_ms
-            )
-            if config.gray_aware else None
-        )
         self.stats = BLEStats()
         if initial_leader is not None and initial_leader.pid == config.pid:
             # Bootstrapping with ourselves as the seeded leader: adopt the
@@ -213,24 +193,6 @@ class BallotLeaderElection(Instrumented):
         detector consumes."""
         return self._last_round_jitter_ms
 
-    @property
-    def self_degraded(self) -> bool:
-        """Whether this server currently scores *itself* fail-slow.
-
-        Always False outside ``gray_aware`` mode."""
-        return (self._self_monitor is not None
-                and self._self_monitor.degraded)
-
-    def self_health(self) -> Optional[Dict[str, Any]]:
-        """JSON-safe self-degradation state, or None outside gray-aware."""
-        if self._self_monitor is None:
-            return None
-        return self._self_monitor.snapshot()
-
-    def _on_observability(self, registry: MetricsRegistry) -> None:
-        if self._self_monitor is not None:
-            self._self_monitor.bind(registry)
-
     # -- driving ------------------------------------------------------------
 
     def start(self, now_ms: float) -> None:
@@ -266,12 +228,6 @@ class BallotLeaderElection(Instrumented):
         """
         if isinstance(msg, HeartbeatRequest):
             flag = self._quorum_connected if self._config.use_qc_flag else True
-            if flag and self.self_degraded:
-                # Gray-aware: a self-diagnosed fail-slow server advertises
-                # qc=False so peers drop its ballot from candidacy — the
-                # same mechanism BLE already uses to route around servers
-                # that lost quorum connectivity.
-                flag = False
             self._send(src, HeartbeatReply(msg.round, self._current_ballot, flag))
         elif isinstance(msg, HeartbeatReply):
             if msg.round == self._hb_round:
@@ -328,23 +284,6 @@ class BallotLeaderElection(Instrumented):
     def _hb_timeout(self) -> None:
         """Close the current round: evaluate replies and maybe elect."""
         self.stats.rounds += 1
-        if self._self_monitor is not None:
-            # Feed our own round cadence to the self monitor: a fail-slow
-            # server closes rounds late by exactly its slowdown factor.
-            was_degraded = self._self_monitor.degraded
-            self._self_monitor.observe_fire(self._now)
-            if self._self_monitor.degraded != was_degraded:
-                if self._self_monitor.degraded:
-                    # Onset: demote ballot priority so any same-round tie
-                    # resolves away from us.
-                    self._current_ballot = (
-                        self._current_ballot.with_priority(0)
-                    )
-                else:
-                    # Recovered: restore the configured preference.
-                    self._current_ballot = self._current_ballot.with_priority(
-                        self._config.priority
-                    )
         # Capture the health view before the election logic consumes the
         # reply list (check_leader appends our own ballot and clears it).
         self._last_heard = tuple(sorted(
@@ -367,11 +306,8 @@ class BallotLeaderElection(Instrumented):
             self._last_quorum_at = self._now
             # We heard from a majority (counting ourselves): we are QC and
             # allowed to evaluate leadership. Our own ballot participates
-            # with the flag from the *previous* round — withheld while
-            # gray-aware mode scores us fail-slow, mirroring what we
-            # advertise to peers.
-            own_flag = self._quorum_connected and not self.self_degraded
-            self._ballots.append((self._current_ballot, own_flag))
+            # with the flag from the *previous* round.
+            self._ballots.append((self._current_ballot, self._quorum_connected))
             self._check_leader()
         else:
             self._ballots.clear()
@@ -394,12 +330,6 @@ class BallotLeaderElection(Instrumented):
             # The leader's ballot was absent (disconnected) or carried
             # qc=false: the leader cannot make progress. Bump our ballot
             # beyond the leader's and attempt to take over next round.
-            if self.self_degraded:
-                # Gray-aware: a self-diagnosed fail-slow server declines
-                # candidacy — bumping would let the limping node win the
-                # race it is trying to abdicate. A healthy peer runs this
-                # same branch and takes over instead.
-                return
             if self._config.connectivity_priority:
                 self._current_ballot = self._current_ballot.with_priority(
                     self._last_connectivity

@@ -100,12 +100,6 @@ class OmniPaxosConfig:
     use_qc_flag: bool = True
     #: Prefer better-connected candidates at takeover time (paper section 8).
     connectivity_priority: bool = False
-    #: Opt-in graceful degradation: a server whose own BLE round cadence
-    #: scores it fail-slow (see
-    #: :class:`~repro.obs.health.SelfDegradationMonitor`) withdraws from
-    #: candidacy and advertises qc=False so leadership drains to a healthy
-    #: peer. Default off; default behaviour is untouched.
-    gray_aware: bool = False
     #: ``"parallel"`` (paper, Figure 6b) or ``"leader"`` (Figure 6a ablation).
     migration_strategy: str = PARALLEL
     migration_chunk_entries: int = 10_000
@@ -313,7 +307,6 @@ class OmniPaxosServer(Replica):
             "decided_idx": self._log_len,
             "migrating": self.migrating,
             "degraded": self._gray.snapshot(),
-            "self_health": ble.self_health() if ble is not None else None,
         }
 
     def _report_health(self, inst: _Instance) -> None:
@@ -643,7 +636,6 @@ class OmniPaxosServer(Replica):
             priority=self._config.priority,
             use_qc_flag=self._config.use_qc_flag,
             connectivity_priority=self._config.connectivity_priority,
-            gray_aware=self._config.gray_aware,
         )
 
     def _start_instance(self, cluster: ClusterConfig, now_ms: float,

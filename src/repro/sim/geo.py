@@ -8,9 +8,7 @@ can share by name:
 - the harness (``ExperimentConfig.latency_map = geo_latency_map(...)``),
 - the chaos engine (``ChaosSchedule.geo = "regions3"`` runs the whole
   schedule in that environment, recorded in the schedule so replays and
-  shrinks reproduce it),
-- scenario/benchmark macros (region outage and inter-region degradation
-  expand to the exact link lists the partition/delay ops consume).
+  shrinks reproduce it).
 
 Latencies are one-way milliseconds, loosely modeled on public inter-region
 RTT tables (AWS/GCP order of magnitude): same-region replicas sit a
@@ -29,7 +27,7 @@ environment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple, Union
+from typing import Dict, Tuple, Union
 
 from repro.errors import ConfigError
 
@@ -126,20 +124,6 @@ def region_assignment(servers: Tuple[int, ...],
     }
 
 
-def region_members(servers: Tuple[int, ...], geo: Union[str, GeoMap],
-                   region: Union[int, str]) -> Tuple[int, ...]:
-    """The pids living in one region (by index or name)."""
-    gmap = resolve_geo(geo)
-    if isinstance(region, str):
-        if region not in gmap.regions:
-            raise ConfigError(
-                f"unknown region {region!r} in geo map {gmap.name!r}"
-            )
-        region = gmap.regions.index(region)
-    assignment = region_assignment(servers, gmap)
-    return tuple(sorted(p for p, r in assignment.items() if r == region))
-
-
 def geo_latency_map(servers: Tuple[int, ...],
                     geo: Union[str, GeoMap]) -> Dict[Tuple[int, int], float]:
     """Expand a geo environment to the harness's per-link latency map.
@@ -155,72 +139,3 @@ def geo_latency_map(servers: Tuple[int, ...],
         for b in ordered[i + 1:]:
             out[(a, b)] = gmap.one_way_ms(assignment[a], assignment[b])
     return out
-
-
-def region_outage_links(servers: Tuple[int, ...], geo: Union[str, GeoMap],
-                        region: Union[int, str]) -> List[List[int]]:
-    """The links a full region outage cuts: every link with exactly one
-    endpoint inside the region (intra-region links stay up — the region is
-    internally healthy, just unreachable). Feed to a ``partition`` op or
-    ``SimCluster.set_link``.
-    """
-    inside = set(region_members(servers, geo, region))
-    if not inside:
-        raise ConfigError("region has no members for this cluster size")
-    ordered = sorted(servers)
-    return [
-        [a, b]
-        for i, a in enumerate(ordered)
-        for b in ordered[i + 1:]
-        if (a in inside) != (b in inside)
-    ]
-
-
-def inter_region_links(servers: Tuple[int, ...], geo: Union[str, GeoMap],
-                       region_a: Union[int, str],
-                       region_b: Union[int, str]) -> List[List[int]]:
-    """The links crossing two specific regions (one endpoint in each) —
-    the target set of an inter-region degradation (``delay_spike`` /
-    ``slow_link`` on a struggling ocean route)."""
-    in_a = set(region_members(servers, geo, region_a))
-    in_b = set(region_members(servers, geo, region_b))
-    if not in_a or not in_b:
-        raise ConfigError("both regions need members for this cluster size")
-    if in_a & in_b:
-        raise ConfigError("region_a and region_b must differ")
-    ordered = sorted(servers)
-    return [
-        [a, b]
-        for i, a in enumerate(ordered)
-        for b in ordered[i + 1:]
-        if (a in in_a and b in in_b) or (a in in_b and b in in_a)
-    ]
-
-
-def region_outage_op(at_ms: float, servers: Tuple[int, ...],
-                     geo: Union[str, GeoMap], region: Union[int, str],
-                     heal_ms: float):
-    """A ready-made ``partition`` :class:`~repro.chaos.schedule.FaultOp`
-    cutting one region off for ``heal_ms`` — composable with any other
-    scheduled ops."""
-    from repro.chaos.schedule import FaultOp
-    return FaultOp(at_ms=at_ms, kind="partition", params={
-        "pattern": "region_outage",
-        "links": region_outage_links(servers, geo, region),
-        "heal_ms": heal_ms,
-    })
-
-
-def inter_region_degradation_op(at_ms: float, servers: Tuple[int, ...],
-                                geo: Union[str, GeoMap],
-                                region_a: Union[int, str],
-                                region_b: Union[int, str],
-                                extra_ms: float, duration_ms: float):
-    """A ready-made ``delay_spike`` op inflating every link between two
-    regions — the degraded-ocean-route scenario."""
-    from repro.chaos.schedule import FaultOp
-    return FaultOp(at_ms=at_ms, kind="delay_spike", params={
-        "links": inter_region_links(servers, geo, region_a, region_b),
-        "extra_ms": extra_ms,
-        "duration_ms": duration_ms,
-    })

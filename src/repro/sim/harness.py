@@ -74,14 +74,6 @@ class ExperimentConfig:
     #: freshly created backing store, letting fault injectors (e.g. the chaos
     #: engine's FaultyStorage) interpose on disk writes per server.
     storage_wrapper: Optional[Callable[[int, Storage], Storage]] = None
-    #: Opt-in graceful degradation under fail-slow faults: servers that
-    #: score *themselves* degraded withdraw from leadership (Omni BLE
-    #: demotes/withholds its ballot; Raft declines candidacy and a
-    #: degraded leader steps down). Applies to ``omni``, ``raft`` and
-    #: ``raft_pvcq``; ``multipaxos``/``vr`` have no reaction hook and
-    #: ignore it. Default off — default behaviour and bench digests are
-    #: untouched.
-    gray_aware: bool = False
 
     def __post_init__(self) -> None:
         if self.protocol not in PROTOCOLS:
@@ -305,7 +297,6 @@ def make_replica(cfg: ExperimentConfig, pid: int,
             migration_chunk_entries=cfg.migration_chunk_entries,
             migration_retry_ms=max(2 * cfg.election_timeout_ms, 100.0),
             announce_period_ms=max(cfg.election_timeout_ms, 50.0),
-            gray_aware=cfg.gray_aware,
             **kwargs,
         ))
     if cfg.protocol in ("raft", "raft_pvcq"):
@@ -319,7 +310,6 @@ def make_replica(cfg: ExperimentConfig, pid: int,
             max_entries_per_msg=cfg.effective_max_batch,
             seed=cfg.seed,
             initial_leader=cfg.initial_leader if in_config else None,
-            gray_aware=cfg.gray_aware,
         ))
     if cfg.protocol == "multipaxos":
         return MultiPaxosReplica(MultiPaxosConfig(

@@ -10,7 +10,9 @@ The tentpole claims under test:
   revert removes exactly its own layer regardless of order (the
   regression that motivated layered tick scaling),
 - the slow-disk stall path rides ``FaultyStorage`` without breaking its
-  fail/torn machinery.
+  fail/torn machinery,
+- heartbeat-based election (BLE, Raft PV+CQ) never displaces a leader
+  that is slow but still answers.
 """
 
 import pytest
@@ -173,6 +175,37 @@ class TestEngineFailSlow:
         )
         assert [op.kind for op in shrunk.ops] == ["slow_cpu"]
         assert runs > 0
+
+
+class TestSlowLeaderBlindSpot:
+    """Heartbeat-based election cannot see a leader that is slow but
+    still answers: its replies are message-driven, so its ballot (BLE) or
+    its AppendEntries heartbeats (Raft PV+CQ) keep arriving in time. The
+    paper does not model fail-slow servers; this pins the blind spot."""
+
+    @pytest.mark.parametrize("protocol", ["omni", "raft_pvcq"])
+    def test_default_never_displaces_a_slow_leader(self, protocol):
+        timeout = 100.0
+        exp = build_experiment(ExperimentConfig(
+            protocol=protocol, num_servers=5, election_timeout_ms=timeout,
+            seed=1, initial_leader=3))
+        cluster = exp.cluster
+        client = exp.make_client(concurrent_proposals=8)
+        cluster.run_for(10 * timeout)
+        assert cluster.leaders() == [3]
+        healthy = client.decided_count
+        # The slow_cpu fault's two knobs: a 100x-stretched clock and
+        # 5 ms of serialized CPU per message.
+        cluster.push_tick_scale(3, 100.0)
+        cluster.set_msg_cost(3, 5.0)
+        before = client.decided_count
+        for _ in range(20):
+            cluster.run_for(timeout)
+            assert cluster.leaders() == [3]
+        # The fault bites: decisions per timeout fall well below the
+        # healthy warm-up's.
+        slow = client.decided_count - before
+        assert slow / 20 < 0.75 * healthy / 10
 
 
 class TestStackingReverts:

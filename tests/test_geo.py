@@ -1,10 +1,10 @@
-"""Geo-replication scenario library: maps, region helpers, composability."""
+"""Geo-replication scenario library: maps, region assignment, schedules."""
 
 import pytest
 
 from repro.chaos.engine import run_schedule
 from repro.chaos.generator import generate_schedule
-from repro.chaos.schedule import ChaosSchedule
+from repro.chaos.schedule import ChaosSchedule, FaultOp
 from repro.errors import ConfigError
 from repro.sim.geo import (
     GEO_MAPS,
@@ -12,12 +12,7 @@ from repro.sim.geo import (
     REGIONS5,
     GeoMap,
     geo_latency_map,
-    inter_region_degradation_op,
-    inter_region_links,
     region_assignment,
-    region_members,
-    region_outage_links,
-    region_outage_op,
     resolve_geo,
 )
 
@@ -60,61 +55,12 @@ class TestRegionHelpers:
         assert assignment == {1: 0, 2: 1, 3: 2, 4: 0, 5: 1}
         assert region_assignment(FIVE, "regions3") == assignment
 
-    def test_members_by_index_and_name(self):
-        assert region_members(FIVE, "regions3", 0) == (1, 4)
-        assert region_members(FIVE, "regions3", "us-east") == (1, 4)
-        assert region_members(FIVE, "regions3", "ap-northeast") == (3,)
-
-    def test_unknown_region_name_rejected(self):
-        with pytest.raises(ConfigError):
-            region_members(FIVE, "regions3", "the-moon")
-
     def test_latency_map_covers_all_pairs(self):
         lat = geo_latency_map(FIVE, "regions3")
         assert set(lat) == {(a, b) for a in FIVE for b in FIVE if a < b}
         # 1 and 4 share us-east; 1 and 3 cross an ocean.
         assert lat[(1, 4)] == REGIONS3.intra_one_way_ms
         assert lat[(1, 3)] == REGIONS3.inter_one_way_ms[(0, 2)]
-
-    def test_outage_links_cut_exactly_the_region_boundary(self):
-        links = region_outage_links(FIVE, "regions3", "us-east")
-        inside = {1, 4}
-        assert links, "a populated region must have boundary links"
-        for a, b in links:
-            assert (a in inside) != (b in inside)
-        # The intra-region link 1-4 stays up.
-        assert [1, 4] not in links
-
-    def test_outage_of_empty_region_rejected(self):
-        # regions5 with a 3-server cluster leaves regions 3 and 4 empty.
-        with pytest.raises(ConfigError):
-            region_outage_links((1, 2, 3), "regions5", "ap-south")
-
-    def test_inter_region_links_cross_only_those_regions(self):
-        links = inter_region_links(FIVE, "regions3", "us-east", "eu-west")
-        assert sorted(map(tuple, links)) == [(1, 2), (1, 5), (2, 4), (4, 5)]
-
-    def test_inter_region_same_region_rejected(self):
-        with pytest.raises(ConfigError):
-            inter_region_links(FIVE, "regions3", 0, 0)
-
-
-class TestGeoOps:
-    def test_region_outage_op_is_a_valid_partition(self):
-        op = region_outage_op(500.0, FIVE, "regions3", "eu-west",
-                              heal_ms=400.0)
-        assert op.kind == "partition"
-        assert op.params["pattern"] == "region_outage"
-        assert op.params["links"] == region_outage_links(
-            FIVE, "regions3", "eu-west")
-
-    def test_degradation_op_is_a_valid_delay_spike(self):
-        op = inter_region_degradation_op(
-            500.0, FIVE, "regions3", "us-east", "ap-northeast",
-            extra_ms=80.0, duration_ms=600.0)
-        assert op.kind == "delay_spike"
-        assert op.params["links"] == inter_region_links(
-            FIVE, "regions3", "us-east", "ap-northeast")
 
 
 class TestGeoSchedules:
@@ -134,8 +80,10 @@ class TestGeoSchedules:
         assert again == geo
 
     def test_geo_schedule_runs_safe_and_deterministic(self):
-        ops = (region_outage_op(800.0, (1, 2, 3), "regions3", "eu-west",
-                                heal_ms=600.0),)
+        # Cut eu-west (pid 2 under regions3) off from both peers.
+        ops = (FaultOp(at_ms=800.0, kind="partition",
+                       params={"pattern": "random", "links": [[1, 2], [2, 3]],
+                               "heal_ms": 600.0}),)
         schedule = ChaosSchedule(seed=5, protocol="omni", num_servers=3,
                                  duration_ms=4_000.0, ops=ops,
                                  geo="regions3")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
+from repro.sim.harness import ExperimentConfig, build_experiment
 from repro.sim.workload import ClosedLoopClient, WorkloadParams
 
 from tests.conftest import build_omni_cluster, run_until_leader
@@ -124,3 +125,27 @@ class TestLatencyTracking:
         sim.crash(1)
         sim.run_for(2000)
         assert max(client.latencies_ms) > baseline_p99
+
+
+class TestLiveClientTimeout:
+    """The proposal timeout stretches with mid-run slowness."""
+
+    def test_timeout_tracks_inflated_latency(self):
+        exp = build_experiment(ExperimentConfig(num_servers=3))
+        client = exp.make_client(concurrent_proposals=2)
+        before = client.current_timeout_ms
+        # A slow_link-style directed inflation lands mid-run.
+        exp.network.set_latency_directed(1, 2, 500.0)
+        after = client.current_timeout_ms
+        assert after > before
+        assert after >= 8.0 * 500.0
+        # And relaxes again once the fault reverts.
+        exp.network.clear_latency_directed(1, 2)
+        assert client.current_timeout_ms == before
+
+    def test_explicit_timeout_stays_fixed(self):
+        exp = build_experiment(ExperimentConfig(num_servers=3))
+        client = exp.make_client(concurrent_proposals=2,
+                                 proposal_timeout_ms=1234.0)
+        exp.network.set_latency_directed(1, 2, 500.0)
+        assert client.current_timeout_ms == 1234.0
