@@ -26,7 +26,7 @@ up (paper section 7.3).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigError, NotLeaderError

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigError
 from repro.obs.events import BallotElected
@@ -259,8 +259,13 @@ class VRReplica(Replica):
         # Sequence Paxos builds the messages for what was proposed since
         # the last hand-out in its own take_outbox.
         self._drain_sp()
-        if self._outbox:
+        mark = None if self._crashed else self._sp.self_accept_mark()
+        if self._outbox or mark is not None:
             self._sp.storage.sync()  # nothing leaves ahead of the disk
+            if mark is not None:
+                # The leader's appends are durable: count them.
+                self._sp.self_accept(mark)
+                self._drain_sp()
         out, self._outbox = self._outbox, []
         return out
 

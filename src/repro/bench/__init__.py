@@ -12,6 +12,9 @@ Nothing here is timed; ``benchmarks/e2e`` measures performance.
 ``repro-bench`` (see :mod:`repro.tools.bench`) is the CLI front-end.
 """
 
-from repro.bench.runner import load_json, save_json  # noqa: F401
-from repro.bench.micro import run_micro_suite  # noqa: F401
-from repro.bench.macro import run_macro, run_macro_suite  # noqa: F401
+from repro.bench.runner import load_json, save_json
+from repro.bench.micro import run_micro_suite
+from repro.bench.macro import run_macro, run_macro_suite
+
+__all__ = ["load_json", "save_json", "run_micro_suite", "run_macro",
+           "run_macro_suite"]

@@ -22,8 +22,8 @@ command is skipped and changes neither the map nor the sessions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ReproError
 from repro.omni.entry import Command, is_stopsign

@@ -30,8 +30,8 @@ emit; nothing feeds back into protocol decisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.events import (
     EventRecord,

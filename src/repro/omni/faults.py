@@ -87,6 +87,8 @@ class FaultyStorage(Storage):
         #: sync, the mutations made since the one before.
         self._durable = _image_of(inner)
         self._unsynced: List[Tuple[str, Tuple[Any, ...]]] = []
+        #: Mutations a :meth:`write` passed on that await their :meth:`fsync`.
+        self._written: List[Tuple[str, Tuple[Any, ...]]] = []
 
     # -- fault control ------------------------------------------------------
 
@@ -177,20 +179,53 @@ class FaultyStorage(Storage):
         alone (:data:`~repro.omni.storage.LAZY_MUTATORS`) are not behind
         it: as in :class:`FileStorage`, they wait for the next sync with
         another write."""
-        if all(name in LAZY_MUTATORS for name, _ in self._unsynced):
+        if not self._written and all(
+                name in LAZY_MUTATORS for name, _ in self._unsynced):
             return self._inner.sync()
         self._write_gate()
         synced = self._inner.sync()
-        for name, args in self._unsynced:
-            getattr(self._durable, name)(*args)
+        self._make_durable(self._written + self._unsynced)
+        self._written.clear()
         self._unsynced.clear()
         return synced
 
-    def power_cut(self) -> None:
-        """Lose every write since the last :meth:`sync` returned — what
-        the disk holds after the machine, not just the process, dies. The
-        wrapped storage is replaced by an in-memory image of that state."""
+    def write(self) -> int:
+        """The first half of :meth:`sync`, through the write gate the same
+        way; returns how many mutations now wait for :meth:`fsync` (none
+        when only lazy ones are pending). A power cut still loses them."""
+        if all(name in LAZY_MUTATORS for name, _ in self._unsynced):
+            return self._inner.write()
+        self._write_gate()
+        self._inner.write()
+        self._written += self._unsynced
         self._unsynced.clear()
+        return len(self._written)
+
+    def fsync(self) -> None:
+        """The second half: what the writes so far passed on survives a
+        :meth:`power_cut` from now on."""
+        written, self._written = self._written, []
+        self._inner.fsync()
+        self._make_durable(written)
+
+    def _make_durable(self, mutations: List[Tuple[str, Tuple[Any, ...]]]
+                      ) -> None:
+        for name, args in mutations:
+            getattr(self._durable, name)(*args)
+
+    @property
+    def durable(self) -> Storage:
+        """What a :meth:`power_cut` now would leave (read it, do not
+        write it)."""
+        return self._durable
+
+    def power_cut(self) -> None:
+        """Lose every write since the last :meth:`sync` (or :meth:`fsync`)
+        returned — what the disk holds after the machine, not just the
+        process, dies. The wrapped storage is replaced by an in-memory
+        image of that state."""
+        self._unsynced.clear()
+        self._written.clear()
         self._inner = self._durable
         self._durable = _image_of(self._inner)
 

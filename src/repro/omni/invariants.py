@@ -18,7 +18,7 @@ or returns quietly.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List
 
 from repro.errors import ReproError
 from repro.omni.entry import is_stopsign

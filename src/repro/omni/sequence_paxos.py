@@ -17,7 +17,9 @@ pipelines new entries with ``AcceptDecide`` over FIFO links and decides an
 index once a majority has accepted it. A proposal is appended inside
 ``propose``; the ``AcceptDecide`` that carries it is built when the driver
 next calls ``take_outbox``, one per follower for everything appended since
-the last hand-out.
+the last hand-out. The leader counts its own acceptance of those entries
+only once the caller reports them durable (:meth:`SequencePaxos.self_accept`),
+so every index it decides is on the disk of a majority.
 
 Because leader election is fully decoupled (it only requires
 quorum-connectivity, not log progress), the Prepare-phase synchronization is
@@ -31,7 +33,7 @@ for a view-change protocol exactly as the paper's evaluation does.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CompactionError, ConfigError, NotLeaderError, StoppedError
@@ -635,7 +637,9 @@ class SequencePaxos(Instrumented):
         # A recovering server that won the election resynchronized itself
         # through the majority's promises — its recovery is over too.
         self._trace_recovery_end()
-        self._las = {self.pid: self._storage.log_len()}
+        # We count our own acceptance of the adopted log once it is
+        # durable (self_accept), like any append.
+        self._las = {}
         for pid, meta in self._promises.items():
             if pid != self.pid:
                 self._accept_sync_follower(pid, meta)
@@ -687,9 +691,9 @@ class SequencePaxos(Instrumented):
 
     def _append_and_replicate(self, entries: Sequence[Any]) -> None:
         """Everything a proposal needs done inside the call: clip at a
-        stop-sign, append, count our own acceptance, decide if we are the
-        majority. The ``AcceptDecide`` that replicates the entries is
-        built by :meth:`take_outbox`."""
+        stop-sign and append. The ``AcceptDecide`` that replicates the
+        entries is built by :meth:`take_outbox`; our own acceptance counts
+        once the caller reports the append durable (:meth:`self_accept`)."""
         entries, rejected = self._clip_at_stopsign(entries)
         self.stats.proposals_rejected += rejected
         if not entries:
@@ -697,16 +701,40 @@ class SequencePaxos(Instrumented):
         storage = self._storage
         start_idx = storage.log_len()
         self._append(entries)
-        log_len = storage.log_len()
-        self._las[self.pid] = log_len
         self._unsent = True
         if self._obs.tracing:
+            log_len = storage.log_len()
             self._trace_fanout.append((log_len, self._obs.now_ms()))
             self._obs.emit(ProposalAppended(
                 pid=self.pid, from_idx=start_idx, to_idx=log_len,
                 protocol="sp", trace_id=entry_trace_id(entries[0]),
             ))
-        self._maybe_decide(log_len)
+
+    def self_accept_mark(self) -> Optional[Tuple[Ballot, int]]:
+        """The leader's round and log length while it holds entries it
+        does not count as accepted yet, else None. Take it when the
+        storage writes those entries; hand it to :meth:`self_accept` once
+        that write is durable."""
+        if self._phase is Phase.ACCEPT and self._role is Role.LEADER:
+            log_len = self._storage.log_len()
+            if self._las.get(self.pid, 0) < log_len:
+                return self._current_round, log_len
+        return None
+
+    def self_accept(self, mark: Tuple[Ballot, int]) -> bool:
+        """The write that ``mark`` was taken at is durable: count our own
+        acceptance up to its log length, and decide if that makes a
+        majority; returns whether it decided. A mark from an earlier
+        tenure counts nothing: within one round's Accept phase the
+        leader's log only grows, so the entries below the length are the
+        ones that were written."""
+        round_, log_len = mark
+        if (self._phase is Phase.ACCEPT and self._role is Role.LEADER
+                and round_ == self._current_round
+                and log_len > self._las.get(self.pid, 0)):
+            self._las[self.pid] = log_len
+            return self._maybe_decide(log_len)
+        return False
 
     def _replicate_unsent(self) -> None:
         """One ``AcceptDecide`` per synced follower, carrying the entries
@@ -763,13 +791,14 @@ class SequencePaxos(Instrumented):
             self._las[src] = msg.log_idx
             self._maybe_decide(msg.log_idx)
 
-    def _maybe_decide(self, candidate_idx: int) -> None:
-        """Decide ``candidate_idx`` if a majority has accepted that far."""
+    def _maybe_decide(self, candidate_idx: int) -> bool:
+        """Decide ``candidate_idx`` if a majority has accepted that far;
+        returns whether it did."""
         if candidate_idx <= self._storage.get_decided_idx():
-            return
+            return False
         accepted = sum(1 for idx in self._las.values() if idx >= candidate_idx)
         if accepted < self._config.majority:
-            return
+            return False
         self._storage.set_decided_idx(candidate_idx)
         if self._obs.tracing:
             self._obs.emit(QuorumAccepted(
@@ -782,6 +811,7 @@ class SequencePaxos(Instrumented):
         msg = Decide(n=self._current_round, decided_idx=candidate_idx)
         for pid in self._synced_peers:
             self._send(pid, msg)
+        return True
 
     def _on_prepare_req(self, src: int) -> None:
         if self.is_leader:

@@ -25,8 +25,10 @@ bound on every ballot this server ever led.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError, NotLeaderError, StorageError
 from repro.obs.events import (
@@ -47,6 +49,7 @@ from repro.omni.messages import (
     COMPONENT_BLE,
     COMPONENT_SERVICE,
     COMPONENT_SP,
+    AcceptDecide,
     Envelope,
     HeartbeatRequest,
     JoinComplete,
@@ -57,7 +60,14 @@ from repro.omni.messages import (
 from repro.omni.reconfig import PARALLEL, MigrationPlan, serve_pull_request
 from repro.omni.sequence_paxos import SequencePaxos, SequencePaxosConfig
 from repro.omni.storage import InMemoryStorage, Storage
-from repro.replica import Replica
+from repro.replica import Ready, Replica
+
+#: Each leading instance with what it may count itself for once the
+#: storage writes made so far are durable (``SequencePaxos.self_accept_mark``).
+_Marks = List[Tuple[SequencePaxos, Tuple[Ballot, int]]]
+
+#: The hand-out with nothing in it (its fields are tuples: never changed).
+_NOTHING = Ready()
 
 
 @dataclass(frozen=True)
@@ -165,6 +175,11 @@ class OmniPaxosServer(Replica):
         #: Whether anything was proposed since the last hand-out: if so,
         #: :meth:`take_outbox` has Sequence Paxos' messages to collect.
         self._proposed = False
+        #: :meth:`take_ready` hand-outs from the oldest whose fsync has not
+        #: completed on, as ``(whether it owes an fsync, decided entries)``.
+        #: While there are any, a write that owes nothing is not durable
+        #: yet, and the caller may still hold those entries.
+        self._unsynced: Deque[Tuple[bool, List[Tuple[int, Any]]]] = deque()
         #: Tracing-only: the root context of the first such proposal.
         self._proposed_trace: Optional[TraceContext] = None
         #: Tracing-only: the context to stamp on outgoing envelopes while
@@ -489,18 +504,12 @@ class OmniPaxosServer(Replica):
 
     def take_outbox(self) -> List[Tuple[int, Envelope]]:
         if self._proposed:
-            # Sequence Paxos builds the messages for everything proposed
-            # since the last hand-out now, one per follower; they carry
-            # the first proposal's trace.
-            self._proposed = False
-            self._active_trace, self._proposed_trace = (
-                self._proposed_trace, None)
-            for cid, inst in self._instances.items():
-                for dst, msg in inst.sp.take_outbox():
-                    self._post(dst, Envelope(cid, COMPONENT_SP, msg))
-            self._active_trace = None
-        if self._outbox:
+            self._collect_proposed()
+        marks = self._self_accept_marks()
+        if self._outbox or marks:
             self._sync_storage()
+            if self._self_accept(marks):
+                self._sync_storage()  # whatever deciding staged
         out, self._outbox = self._outbox, []
         return out
 
@@ -514,25 +523,138 @@ class OmniPaxosServer(Replica):
         out, self._decided_out = self._decided_out, []
         return out
 
-    def _sync_storage(self) -> None:
-        """The durability barrier: nothing leaves this replica ahead of
-        the state it attests.
+    def take_ready(self, decided: bool = True) -> Ready:
+        """:meth:`take_outbox` and :meth:`take_decided` with the storage
+        write made here and its fsync left to the caller.
 
-        Messages and decided entries are handed out only here, after every
-        storage mutation made so far is durable — so a ``Promise`` or
-        ``Accepted`` cannot outrun the promise or entries it reports, and
-        no client is acknowledged an entry a power cut could take back.
-        Because it sits at the hand-out and not at each write, all the
-        records one driver cycle produced share one write and one fsync.
-        If it raises, nothing is handed out; the driver must :meth:`crash`
-        this replica, which discards the queued messages.
+        With nothing to fsync this is the synchronous hand-out: the same
+        messages in the same order, released at once. Otherwise only the
+        ``AcceptDecide`` messages that replicate new entries are ``early``
+        (each behind nothing held for its follower), everything else
+        waits for the fsync, and ``synced`` then counts the leader's own
+        acceptance of what this write carried. ``decided=False`` leaves
+        decided entries queued for :meth:`take_decided`.
+        """
+        if self._proposed:
+            self._collect_proposed()
+        marks = self._self_accept_marks()
+        if not (self._outbox or marks
+                or (decided and self._decided_out and not self._crashed)):
+            return _NOTHING
+        obs = self._obs if self._obs_on else None
+        started_ms = obs.now_ms() if obs is not None else 0.0
+        records, fsyncs = self._write_storage()
+        if not fsyncs and not self._unsynced and self._self_accept(marks):
+            more, fsyncs = self._write_storage()  # whatever deciding staged
+            records += more
+        out, self._outbox = self._outbox, []
+        handed: List[Tuple[int, Any]] = []
+        if decided and not self._crashed:
+            handed, self._decided_out = self._decided_out, []
+        if fsyncs or self._unsynced:
+            self._unsynced.append((bool(fsyncs), handed))
+        if not fsyncs:
+            return Ready(outbox=out, decided=handed)
+        early: List[Tuple[int, Envelope]] = []
+        held: List[Tuple[int, Envelope]] = []
+        waiting = set()
+        for dst, env in out:
+            if dst not in waiting and env.payload.__class__ is AcceptDecide:
+                early.append((dst, env))
+            else:
+                held.append((dst, env))
+                waiting.add(dst)
+        return Ready(early, held, handed, tuple(fsyncs),
+                     partial(self._synced, marks, records, started_ms))
+
+    def _collect_proposed(self) -> None:
+        """Have Sequence Paxos build the messages for everything proposed
+        since the last hand-out, one per follower; they carry the first
+        proposal's trace."""
+        self._proposed = False
+        self._active_trace, self._proposed_trace = (
+            self._proposed_trace, None)
+        for cid, inst in self._instances.items():
+            for dst, msg in inst.sp.take_outbox():
+                self._post(dst, Envelope(cid, COMPONENT_SP, msg))
+        self._active_trace = None
+
+    def _self_accept_marks(self) -> _Marks:
+        marks = []
+        if not self._crashed:
+            for inst in self._instances.values():
+                mark = inst.sp.self_accept_mark()
+                if mark is not None:
+                    marks.append((inst.sp, mark))
+        return marks
+
+    def _self_accept(self, marks: _Marks) -> bool:
+        """Count the leader's own acceptance at ``marks``; returns whether
+        that decided anything (its ``Decide`` messages and entries are then
+        queued)."""
+        decided = False
+        for sp, mark in marks:
+            decided |= sp.self_accept(mark)
+        if decided:
+            self._pump()
+        return decided
+
+    def _write_storage(self) -> Tuple[int, List[Callable[[], None]]]:
+        """Write every record staged so far, without waiting for the
+        disk; returns how many records that wrote and the fsync of each
+        storage that wrote any."""
+        records = 0
+        fsyncs = []
+        for inst in self._instances.values():
+            storage = inst.sp.storage
+            written = storage.write()
+            if written:
+                records += written
+                fsyncs.append(storage.fsync)
+        return records, fsyncs
+
+    def _synced(self, marks: _Marks, records: int,
+                started_ms: float) -> None:
+        """A :meth:`take_ready` write is durable: count its marks."""
+        if self._crashed:
+            return
+        # The caller has let out this hand-out and those held behind it.
+        unsynced = self._unsynced
+        unsynced.popleft()
+        while unsynced and not unsynced[0][0]:
+            unsynced.popleft()
+        if self._obs_on:
+            self._observe_sync(records, started_ms)
+        self._self_accept(marks)
+
+    def _sync_storage(self) -> None:
+        """The durability barrier of the synchronous hand-out: nothing
+        leaves this replica ahead of the state it attests.
+
+        :meth:`take_outbox` and :meth:`take_decided` hand messages and
+        decided entries out only after this has made every storage
+        mutation so far durable — so a ``Promise`` or ``Accepted`` cannot
+        outrun the promise or entries it reports, and no client is
+        acknowledged an entry a power cut could take back. Because it sits
+        at the hand-out and not at each write, all the records one hand-out
+        cycle produced share one write and one fsync. (:meth:`take_ready`
+        keeps the same barrier with the fsync on the caller's side.) If it
+        raises, nothing is handed out; the caller must :meth:`crash` this
+        replica, which discards the queued messages.
         """
         obs = self._obs if self._obs_on else None
         started_ms = obs.now_ms() if obs is not None else 0.0
         records = 0
         for inst in self._instances.values():
             records += inst.sp.storage.sync()
-        if records and obs is not None:
+        if obs is not None:
+            self._observe_sync(records, started_ms)
+
+    def _observe_sync(self, records: int, started_ms: float) -> None:
+        """How long a barrier waited on the disk, and for how many
+        records (nothing when it wrote none)."""
+        if records:
+            obs = self._obs
             obs.histogram("repro_storage_sync_ms", pid=self.pid).observe(
                 obs.now_ms() - started_ms)
             obs.counter("repro_storage_sync_records_total",
@@ -563,6 +685,11 @@ class OmniPaxosServer(Replica):
         """
         self._crashed = True
         self._outbox = []
+        # The caller drops what it held: those entries were never handed
+        # out after all.
+        self._decided_out[:0] = [e for _, held in self._unsynced
+                                 for e in held]
+        self._unsynced.clear()
         self._proposed = False
         self._proposed_trace = None
 

@@ -19,11 +19,15 @@ asyncio runtime and the failure-injection tests.
 Durability is a *batch boundary*, not a per-record cost. Mutators change
 the in-memory view (and, in :class:`FileStorage`, stage a record);
 ``sync()`` makes everything staged so far durable with one write and one
-fsync. The replica calls it before any message or decided entry leaves
-(``OmniPaxosServer.take_outbox`` / ``take_decided``), so nothing a peer or
-a client is told can be ahead of the log, the promise or the accepted
-round on disk, and all the records of one driver cycle share one fsync
-(group commit).
+fsync, and is ``write()`` then ``fsync()``, which a caller may split
+across threads. The replica writes before any message or decided entry
+leaves, and everything that attests the written state waits for the
+fsync (``OmniPaxosServer.take_outbox`` / ``take_decided`` sync inline;
+``take_ready`` leaves the fsync to the caller). So nothing a peer or a
+client is told can be ahead of the log, the promise or the accepted round
+on disk, and all the records of one hand-out cycle share one fsync (group
+commit). The one message allowed ahead is the leader's ``AcceptDecide``:
+it attests no state of the leader's own (docs/CORRECTNESS.md).
 
 The decided index is the exception: a restarted server learns it again
 from the leader (paper section 4.1.3), so it is not worth an fsync of its
@@ -38,6 +42,7 @@ from __future__ import annotations
 import contextlib
 import os
 import struct
+import threading
 import zlib
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -78,8 +83,11 @@ class Storage(ABC):
     crash may lose it until ``sync()`` has returned, so whoever drives a
     replica calls it before letting out anything that attests the mutated
     state (a ``Promise``, an ``Accepted``, a decided entry); a decided
-    index alone may stay volatile past it (see the module docstring). It
-    is deliberately *not* declared on this class, abstract or concrete:
+    index alone may stay volatile past it (see the module docstring). Its
+    two halves go with it: ``write() -> int`` does what ``sync()`` does
+    short of waiting for the disk and returns how many records now wait
+    for ``fsync()``, which may run on another thread. These are
+    deliberately *not* declared on this class, abstract or concrete:
     delegating proxies outside ``src/`` subclass the ABC and forward
     unknown attributes to the storage they wrap, so an inherited default
     would shadow the forwarding and silently turn the fsync off.
@@ -205,6 +213,12 @@ class InMemoryStorage(Storage):
 
     def sync(self) -> int:
         return 0  # nothing to persist: the object *is* the durable state
+
+    def write(self) -> int:
+        return self.sync()  # durable as written: nothing waits for fsync()
+
+    def fsync(self) -> None:
+        pass
 
     def append_entry(self, entry: Any) -> int:
         self._log.append(entry)
@@ -340,9 +354,10 @@ class FileStorage(InMemoryStorage):
     guards included. :meth:`sync` appends everything staged with one
     ``write`` and, with ``sync=True``, one ``fsync`` — so a mutation is
     durable once the next :meth:`sync` (or :meth:`close`) has returned,
-    not before. A decided-index record is lazy: a :meth:`sync` with
-    nothing else staged writes nothing, and the record goes in the next
-    write that has another record behind it.
+    not before; or, split, once a :meth:`fsync` that started after the
+    :meth:`write` has returned. A decided-index record is lazy: a
+    :meth:`sync` with nothing else staged writes nothing, and the record
+    goes in the next write that has another record behind it.
 
     A value the encoding has no schema for raises
     :class:`~repro.errors.TransportError` at the mutator call, as
@@ -375,7 +390,11 @@ class FileStorage(InMemoryStorage):
         self._pending = bytearray()
         self._pending_records = 0
         self._pending_eager = False
-        #: Length of the file's durable, verified prefix.
+        #: Writes made, and how many of them an fsync covers; the lock
+        #: guards the second against an fsync on another thread.
+        self._writes = self._fsynced = 0
+        self._fsynced_lock = threading.Lock()
+        #: Length of the file's verified prefix, as written.
         self._size = self._replay(read_value)
         try:
             # Unbuffered: sync() is then exactly one write system call.
@@ -387,6 +406,7 @@ class FileStorage(InMemoryStorage):
         except OSError as exc:
             self._file.close()
             raise StorageError(f"cannot truncate {path}: {exc}") from exc
+        self._fd = self._file.fileno()
 
     # -- record plumbing ---------------------------------------------------
 
@@ -460,18 +480,46 @@ class FileStorage(InMemoryStorage):
 
     def sync(self) -> int:
         """Make every staged record durable, unless the only ones are
-        lazy (:data:`LAZY_MUTATORS`); returns how many records it wrote."""
-        return self._write_pending() if self._pending_eager else 0
+        lazy (:data:`LAZY_MUTATORS`); returns how many records it wrote.
+        A :meth:`write` no fsync has covered yet is made durable too."""
+        if self._pending_eager:
+            return self._write_pending()
+        if self._fsynced < self._writes:
+            self.fsync()
+        return 0
 
-    def _write_pending(self) -> int:
+    def write(self) -> int:
+        """:meth:`sync` short of the fsync: one ``write`` of the staged
+        records, unless the only ones are lazy; returns how many records
+        it wrote, which are durable once a :meth:`fsync` started after
+        this call has returned."""
+        return self._write_pending(fsync=False) if self._pending_eager else 0
+
+    def fsync(self) -> None:
+        """Wait until everything written so far is on the disk (nothing
+        with ``sync=False``). Thread-safe against the other methods except
+        :meth:`close`. On failure it raises :class:`StorageError` and
+        leaves the file alone: another write may already follow the one
+        it could not make durable, and replay cuts a torn tail."""
+        covers = self._writes
+        if self._sync:
+            try:
+                os.fsync(self._fd)
+            except OSError as exc:
+                raise StorageError(
+                    f"cannot fsync {self._path}: {exc}") from exc
+        with self._fsynced_lock:
+            self._fsynced = max(self._fsynced, covers)
+
+    def _write_pending(self, fsync: bool = True) -> int:
         pending = self._pending
         if not pending:
             return 0
         try:
             if self._file.write(pending) != len(pending):
                 raise OSError("short write")
-            if self._sync:
-                os.fsync(self._file.fileno())
+            if fsync and self._sync:
+                os.fsync(self._fd)
         except OSError as exc:
             # Put the file back as the last sync left it: part of this
             # group followed by a retry of all of it would bury a torn
@@ -480,6 +528,10 @@ class FileStorage(InMemoryStorage):
                 self._file.truncate(self._size)
             raise StorageError(f"cannot write {self._path}: {exc}") from exc
         self._size += len(pending)
+        self._writes += 1
+        if fsync:
+            with self._fsynced_lock:
+                self._fsynced = self._writes
         self._pending = bytearray()
         self._pending_eager = False
         records, self._pending_records = self._pending_records, 0
@@ -488,6 +540,8 @@ class FileStorage(InMemoryStorage):
     def close(self) -> None:
         try:
             self._write_pending()
+            if self._fsynced < self._writes:
+                self.fsync()
         finally:
             self._file.close()
 

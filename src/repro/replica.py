@@ -21,26 +21,66 @@ this way — one ``AcceptDecide`` / ``AppendEntries`` / ``P2a`` per
 follower for everything proposed since the last hand-out — so a driver
 that hands out less often gets fewer, larger messages, and one that hands
 out after every call (the simulator) gets one message per proposal.
+
+A runtime with a thread to spare for the disk hands out through
+:meth:`ReplicaHooks.take_ready` instead: the same output split at the
+storage's fsync, so it can run the fsync off its event loop.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.health import GrayFailureDetector
 from repro.obs.registry import Instrumented
 
 
+@dataclass(slots=True)
+class Ready:
+    """One hand-out split at the disk, in the shape of etcd raft's
+    ``Ready``/``Advance``.
+
+    The caller sends ``early`` now. It runs every callable in ``fsyncs``
+    (on any thread: each only waits for a disk), then, back on its own
+    thread, calls ``synced`` and only after that lets ``outbox`` and
+    ``decided`` out, each message behind whatever an earlier hand-out
+    still holds for the same destination. With no ``fsyncs`` nothing is
+    owed: ``outbox`` and ``decided`` leave at once, unless an earlier
+    hand-out still waits on its fsync, and then they wait with it.
+    After :meth:`Replica.crash` the caller drops every hand-out still
+    waiting, ``synced`` included.
+    """
+
+    early: Sequence[Tuple[int, Any]] = ()
+    outbox: Sequence[Tuple[int, Any]] = ()
+    decided: Sequence[Tuple[int, Any]] = ()
+    fsyncs: Tuple[Callable[[], None], ...] = ()
+    synced: Optional[Callable[[], None]] = None
+
+
 class ReplicaHooks(Instrumented):
     """The optional hooks a driver calls, each with a working default:
     ``set_observability(registry)`` (from ``Instrumented``: keep the
-    registry, tell no one), :meth:`queue_depths`, :attr:`gray_detector`.
+    registry, tell no one), :meth:`queue_depths`, :attr:`gray_detector`,
+    :meth:`take_ready`.
 
     On a base of :class:`Replica`, not in its body: ``benchmarks/e2e``
     checks that its proxies override every function defined *there*, and
-    they do not know these two yet (ROADMAP 2(e)).
+    they do not know these yet (ROADMAP 2(e)). So a proxy gets the
+    defaults, and a proxied replica hands out synchronously.
     """
+
+    def take_ready(self, decided: bool = True) -> Ready:
+        """Everything to hand out, as a :class:`Ready`. Default: the
+        synchronous hand-out, :meth:`Replica.take_outbox` then (unless
+        ``decided`` is False, which leaves them queued)
+        :meth:`Replica.take_decided`, with no fsync owed."""
+        replica: Replica = self  # type: ignore[assignment]
+        outbox = replica.take_outbox()
+        return Ready(outbox=outbox,
+                     decided=replica.take_decided() if decided else ())
 
     def queue_depths(self) -> Dict[str, int]:
         """Instantaneous depths of the staging queues by name, sampled by

@@ -20,11 +20,21 @@ Two health-observatory surfaces (both opt-in):
 Everything the replica wants out — messages and decided entries — leaves
 in :meth:`RuntimeNode._drain`: once after each socket read's batch of
 messages, and once per event-loop iteration for whatever proposals, ticks
-and restored sessions that iteration handled. The replica syncs its
-storage before handing anything to the drain, so all the records one
-socket read or one client burst produced share one fsync — and it builds
-its replication messages at that hand-out, so the proposals of one
-iteration share one ``AcceptDecide`` / ``AppendEntries`` per follower.
+and restored sessions that iteration handled. The replica writes its
+storage when it hands out (:meth:`~repro.replica.ReplicaHooks.take_ready`),
+so all the records one socket read or one client burst produced share one
+write and one fsync — and it builds its replication messages at that
+hand-out, so the proposals of one iteration share one ``AcceptDecide`` /
+``AppendEntries`` per follower.
+
+The loop never waits on the disk. A hand-out that owes an fsync sends its
+``early`` messages (a leader's ``AcceptDecide``) at once and holds the
+rest; the fsync runs on the node's one disk thread, at most one at a time,
+so fsyncs complete in order and one fsync covers every write made while
+the one before it ran. When it completes, the held messages and decided
+entries it covers leave, in the order they were handed out. A hand-out
+that owes nothing leaves in the same drain, unless an earlier one still
+waits: then it waits behind it.
 
 With an enabled registry the node also keeps an always-on
 :class:`~repro.obs.flight.FlightRecorder`; if the tick loop dies with an
@@ -40,19 +50,61 @@ import asyncio
 import contextlib
 import json
 import logging
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import queue
+import threading
+from collections import Counter, deque
+from functools import partial
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.encoding import check_encodable
 from repro.errors import ConfigError, StorageError, TransportError
 from repro.obs.exporters import metrics_snapshot
 from repro.obs.flight import FlightRecorder
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
-from repro.replica import Replica
+from repro.replica import Ready, Replica
 from repro.runtime.transport import PeerAddress, TcpMesh
 
 logger = logging.getLogger(__name__)
 
 DecidedHandler = Callable[[int, Any], None]
+
+
+class _DiskThread:
+    """A node's one disk thread: runs each job's fsyncs in the order the
+    jobs came, then calls the job's ``done(error)`` on the event loop."""
+
+    def __init__(self, name: str, loop: asyncio.AbstractEventLoop) -> None:
+        self._loop = loop
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._thread = threading.Thread(target=self._run, name=name,
+                                        daemon=True)
+        self._thread.start()
+
+    def submit(self, fsyncs: Tuple[Callable[[], None], ...],
+               done: Callable[[Optional[Exception]], None]) -> None:
+        self._jobs.put((fsyncs, done))
+
+    def close(self) -> None:
+        """Finish the jobs submitted so far, then end the thread."""
+        self._jobs.put(None)
+        self._thread.join()
+
+    def _run(self) -> None:
+        while True:
+            job = self._jobs.get()
+            if job is None:
+                return
+            fsyncs, done = job
+            error = None
+            try:
+                for fsync in fsyncs:
+                    fsync()
+            except Exception as exc:  # the loop decides what it means
+                error = exc
+            try:
+                self._loop.call_soon_threadsafe(done, error)
+            except RuntimeError:
+                return  # the loop is closed: nobody is waiting
 
 
 class RuntimeNode:
@@ -101,6 +153,21 @@ class RuntimeNode:
         self._running = False
         #: Last sampled depth per queue; None until the sampler is attached.
         self._queue_memo: Optional[Dict[str, int]] = None
+        #: The disk thread, started by the first fsync a hand-out owes.
+        self._disk: Optional[_DiskThread] = None
+        #: Hand-outs whose fsync has not started yet.
+        self._owed: List[Ready] = []
+        #: Resolved when the fsync in flight, if any, has ended.
+        self._syncing: Optional[asyncio.Future] = None
+        #: Writes handed out so far that owe an fsync, and how many of them
+        #: completed fsyncs cover: a held batch waits for an fsync that
+        #: started after the write it is numbered with.
+        self._written = self._durable = 0
+        #: ``(write number, messages, decided entries)`` waiting on fsyncs.
+        self._held: Deque[Tuple[int, List[Tuple[int, Any]],
+                                List[Tuple[int, Any]]]] = deque()
+        #: Held messages per destination: an early message waits behind them.
+        self._held_to: Counter = Counter()
 
     # ------------------------------------------------------------------
 
@@ -166,6 +233,13 @@ class RuntimeNode:
         if self._admin_server is not None:
             self._admin_server.close()
             await self._admin_server.wait_closed()
+        if self._syncing is not None:
+            # The storage may be closed once we return: not under an fsync.
+            await self._syncing
+        self._drop_held()
+        if self._disk is not None:
+            self._disk.close()  # idle: joins at once
+            self._disk = None
         await self._mesh.close()
 
     def propose(self, entry: Any) -> None:
@@ -282,16 +356,15 @@ class RuntimeNode:
 
     def _drain(self) -> None:
         """Hand everything the replica queued to the mesh and the decided
-        handler, then write the sockets.
+        handler, or hold it for the fsync it waits on; then write the
+        sockets.
 
         Runs when the mesh has delivered the last message of a socket
         read, and on the iteration after any other step (a proposal, a
-        tick, a restored session). ``take_outbox`` / ``take_decided`` sit
-        behind the replica's durability barrier, so however many calls fed
-        this drain there is one storage sync, and it precedes the first
-        ``mesh.send``; ``take_outbox`` is also where the replica turns the
-        proposals since the last drain into one message per follower. A
-        handler that proposes schedules the next drain itself.
+        tick, a restored session). ``take_ready`` writes the storage once
+        however many calls fed this drain, and is where the replica turns
+        the proposals since the last drain into one message per follower.
+        A handler that proposes schedules the next drain itself.
         """
         if self._drain_handle is not None:
             # Everything queued so far leaves now; a drain still scheduled
@@ -302,30 +375,104 @@ class RuntimeNode:
         if not self._running:
             return
         try:
-            outbox = self._replica.take_outbox()
-            for dst, msg in outbox:
-                try:
-                    self._mesh.send(dst, msg)
-                except TransportError:
-                    # Not an entry (``propose`` checks those): e.g. the
-                    # state of a custom snapshotter. Lose this message
-                    # like a partitioned link would, not the whole drain.
-                    self._obs.counter("repro_messages_dropped_total",
-                                      src=self.pid,
-                                      reason="unencodable").inc()
-                    logger.exception(
-                        "node %d: cannot encode %s for node %d", self.pid,
-                        type(getattr(msg, "payload", msg)).__name__, dst)
             # No handler: leave decided entries queued in the replica for
             # an external consumer (e.g. a ReplicatedKVStore pumping it).
-            if self._on_decided is not None:
-                for idx, entry in self._replica.take_decided():
-                    self._on_decided(idx, entry)
+            ready = self._replica.take_ready(self._on_decided is not None)
         except StorageError:
             self._storage_failed()
             return
+        if ready.fsyncs:
+            self._written += 1
+            self._owed.append(ready)
+        elif self._durable == self._written:
+            # Owes nothing, waits on nothing: out now.
+            self._release(ready.outbox, ready.decided)
+            return
+        sent = False
+        batch = []
+        for dst, msg in ready.early:
+            if self._held_to[dst]:
+                batch.append((dst, msg))
+            else:
+                self._send(dst, msg)
+                sent = True
+        batch += ready.outbox
+        if batch or ready.decided:
+            self._held.append((self._written, batch, ready.decided))
+            self._held_to.update(dst for dst, _ in batch)
+        if sent:
+            self._mesh.flush()
+        if self._syncing is None and self._owed:
+            self._start_fsync()
+
+    def _send(self, dst: int, msg: Any) -> None:
+        try:
+            self._mesh.send(dst, msg)
+        except TransportError:
+            # Not an entry (``propose`` checks those): e.g. the state of a
+            # custom snapshotter. Lose this message like a partitioned link
+            # would, not the whole drain.
+            self._obs.counter("repro_messages_dropped_total", src=self.pid,
+                              reason="unencodable").inc()
+            logger.exception(
+                "node %d: cannot encode %s for node %d", self.pid,
+                type(getattr(msg, "payload", msg)).__name__, dst)
+
+    def _release(self, outbox: List[Tuple[int, Any]],
+                 decided: List[Tuple[int, Any]]) -> None:
+        for dst, msg in outbox:
+            self._send(dst, msg)
+        for idx, entry in decided:
+            self._on_decided(idx, entry)
         if outbox:
             self._mesh.flush()
+
+    def _start_fsync(self) -> None:
+        """Run the fsyncs every hand-out owes so far, once per storage, on
+        the disk thread."""
+        owed, self._owed = self._owed, []
+        fsyncs = tuple(dict.fromkeys(
+            fsync for ready in owed for fsync in ready.fsyncs))
+        assert self._loop is not None
+        if self._disk is None:
+            self._disk = _DiskThread(f"repro-disk-{self.pid}", self._loop)
+        self._syncing = self._loop.create_future()
+        self._disk.submit(fsyncs, partial(self._fsynced, self._written, owed))
+
+    def _fsynced(self, covers: int, owed: List[Ready],
+                 error: Optional[Exception]) -> None:
+        """On the loop: the fsync covering writes up to ``covers`` ended."""
+        syncing, self._syncing = self._syncing, None
+        assert syncing is not None
+        syncing.set_result(None)
+        if not self._running:
+            return  # stopped or crashed: what it held dies unsent
+        if error is not None:
+            if not isinstance(error, StorageError):
+                logger.error("node %d: fsync failed", self.pid,
+                             exc_info=error)
+            self._storage_failed()
+            return
+        self._durable = covers
+        while self._held and self._held[0][0] <= covers:
+            _, batch, decided = self._held.popleft()
+            self._held_to.subtract(dst for dst, _ in batch)
+            self._release(batch, decided)
+        try:
+            for ready in owed:
+                if ready.synced is not None:
+                    ready.synced()
+        except StorageError:
+            self._storage_failed()
+            return
+        # Hands out what counting the leader's own acceptance decided, and
+        # starts the fsync the writes made meanwhile owe.
+        self._drain()
+
+    def _drop_held(self) -> None:
+        self._owed.clear()
+        self._held.clear()
+        self._held_to.clear()
 
     def _storage_failed(self) -> None:
         """The replica could not persist: crash it and stop the node.
@@ -338,6 +485,7 @@ class RuntimeNode:
             return
         self._running = False
         self._replica.crash()
+        self._drop_held()
         self._dump_flight_on_death()
         assert self._loop is not None
         self._stop_task = self._loop.create_task(self.stop())

@@ -44,11 +44,11 @@ import contextlib
 import logging
 import random
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.encoding import register_message
 from repro.errors import TransportError
-from repro.obs.registry import NULL_REGISTRY, Instrumented
+from repro.obs.registry import Instrumented
 from repro.runtime.codec import FrameDecoder, FrameEncoder, encode_frame
 
 logger = logging.getLogger(__name__)

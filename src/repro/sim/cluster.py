@@ -7,7 +7,7 @@ the paper runnable from one harness.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Set, Tuple
 
 from repro.errors import ConfigError, StorageError
 from repro.replica import Replica

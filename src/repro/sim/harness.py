@@ -15,7 +15,7 @@ The supported protocol names are the evaluation's five configurations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import ConfigError
@@ -30,7 +30,7 @@ from repro.baselines.vr import VRConfig, VRReplica
 from repro.replica import Replica
 from repro.sim.cluster import SimCluster
 from repro.sim.events import EventQueue
-from repro.sim.metrics import DecidedTracker, IOTracker
+from repro.sim.metrics import IOTracker
 from repro.sim.network import NetworkParams, SimNetwork
 from repro.sim.workload import ClosedLoopClient, WorkloadParams
 from repro.util.rng import spawn_rng

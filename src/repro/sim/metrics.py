@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import bisect
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.omni.messages import Envelope

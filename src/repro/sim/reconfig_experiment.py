@@ -22,15 +22,14 @@ MB differ, shapes (who dips, how deep, how long, peak IO ratios) hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.omni.entry import Command
 from repro.omni.server import OmniPaxosServer
 from repro.omni.storage import InMemoryStorage, Storage
-from repro.sim.harness import Experiment, ExperimentConfig, build_experiment, make_replica
-from repro.sim.workload import ClosedLoopClient
+from repro.sim.harness import Experiment, ExperimentConfig, make_replica
 
 #: Default roles: five initial servers, the seeded leader is 3.
 INITIAL_SERVERS = (1, 2, 3, 4, 5)

@@ -19,8 +19,8 @@ paper describes ("it is disconnected from the leader earlier").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.sim import partitions

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Any, Deque, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Deque, List, Optional, Sequence, Tuple
 
 from repro.omni.messages import Envelope
 from repro.sim.network import SimNetwork

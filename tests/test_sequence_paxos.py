@@ -40,6 +40,18 @@ def make_sp(pid: int, n: int = 3, storage=None) -> SequencePaxos:
     )
 
 
+def hand_out(node: SequencePaxos):
+    """A hand-out on storage that is durable as written, as
+    ``OmniPaxosServer.take_outbox`` makes it: the outbox, then the
+    leader counts its own acceptance of what it appended."""
+    out = node.take_outbox()
+    mark = node.self_accept_mark()
+    if mark is None:
+        return out
+    node.self_accept(mark)
+    return out + node.take_outbox()
+
+
 class Shuttle:
     """Deliver Sequence Paxos messages between replicas, FIFO per pair."""
 
@@ -54,7 +66,7 @@ class Shuttle:
         for _ in range(max_rounds):
             moved = False
             for pid, node in self.nodes.items():
-                for dst, msg in node.take_outbox():
+                for dst, msg in hand_out(node):
                     if frozenset((pid, dst)) in self.down:
                         continue
                     if dst in self.nodes:
@@ -129,6 +141,8 @@ class TestLeaderTransition:
         assert solo.is_leader
         assert solo.phase is Phase.ACCEPT
         solo.propose(cmd(0))
+        assert solo.decided_idx == 0  # appended, not yet durable
+        hand_out(solo)
         assert solo.decided_idx == 1
 
 

@@ -4,6 +4,8 @@ import os
 import pathlib
 import random
 import struct
+import sys
+import threading
 import zlib
 
 import pytest
@@ -262,6 +264,72 @@ class TestGroupCommit:
         backend = InMemoryStorage()
         backend.append_entry("a")
         assert backend.sync() == 0
+
+    def test_write_and_fsync_are_sync_split_in_two(self, tmp_path,
+                                                    monkeypatch):
+        path = str(tmp_path / "wal.bin")
+        backend = FileStorage(path, sync=True)
+        fsyncs = []
+        monkeypatch.setattr(os, "fsync", fsyncs.append)
+        backend.append_entries(["a", "b"])
+        backend.set_decided_idx(1)
+        assert backend.write() == 2
+        assert os.path.getsize(path) > 0 and fsyncs == []
+        assert backend.write() == 0, "nothing staged, nothing written"
+        backend.fsync()
+        assert len(fsyncs) == 1
+        assert backend.sync() == 0 and len(fsyncs) == 1, "already covered"
+        backend.append_entry("c")
+        backend.write()
+        assert backend.sync() == 0 and len(fsyncs) == 2, \
+            "a sync makes a write no fsync covered yet durable"
+        backend.close()
+        reopened = FileStorage(path)
+        assert reopened.get_entries(0, 10) == ("a", "b", "c")
+        reopened.close()
+
+    def test_fsyncs_on_other_threads_never_overstate_what_is_covered(
+            self, tmp_path):
+        """One thread stages and writes, two others fsync as fast as
+        they can, switching every microsecond: the count of covered
+        writes never runs past the writes made, and a last fsync covers
+        them all."""
+        backend = FileStorage(str(tmp_path / "wal.bin"), sync=True)
+        stop = threading.Event()
+        overstated = []
+
+        def fsync_until_stopped():
+            while not stop.is_set():
+                backend.fsync()
+                if backend._fsynced > backend._writes:
+                    overstated.append(backend._fsynced)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=fsync_until_stopped)
+                   for _ in range(2)]
+        try:
+            for thread in threads:
+                thread.start()
+            for i in range(300):
+                backend.append_entry(i)
+                if i % 3:
+                    backend.write()
+                else:
+                    backend.sync()
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert overstated == []
+        backend.fsync()
+        assert backend._fsynced == backend._writes == 300
+        backend.close()
+        reopened = FileStorage(str(tmp_path / "wal.bin"))
+        assert reopened.log_len() == 300
+        reopened.close()
 
 
 class TestLazyDecidedIndex:

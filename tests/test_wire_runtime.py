@@ -8,6 +8,7 @@ import socket
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -416,9 +417,13 @@ class TestUnencodable:
             reg = MetricsRegistry()
             decided = {1: [], 2: [], 3: []}
             _, nodes = omni_nodes(decided, reg)
-            take_outbox = nodes[1].replica.take_outbox
-            nodes[1].replica.take_outbox = \
-                lambda: [(2, {1, 2}), *take_outbox()]
+            take_ready = nodes[1].replica.take_ready
+
+            def with_a_set_first(decided=True):
+                ready = take_ready(decided)
+                return replace(ready, outbox=[(2, {1, 2}), *ready.outbox])
+
+            nodes[1].replica.take_ready = with_a_set_first
             for node in nodes.values():
                 await node.start()
             try:
