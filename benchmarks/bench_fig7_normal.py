@@ -13,7 +13,9 @@ parameter, scaled). The paper's findings to reproduce:
 
 import pytest
 
+from repro.obs.registry import MetricsRegistry
 from repro.sim.harness import ExperimentConfig, build_experiment, wan_latency_map
+from repro.sim.metrics import wire_size
 from repro.util.stats import mean_ci
 
 from benchmarks.conftest import CP_LEVELS, FULL, record_rows, run_duration_ms
@@ -118,15 +120,18 @@ def test_fig7_ble_overhead_negligible(benchmark):
         cfg = ExperimentConfig(protocol="omni", num_servers=5,
                                election_timeout_ms=100.0, initial_leader=5,
                                seed=1)
-        exp = build_experiment(cfg)
+        # Tracing off: the network counts every message's bytes at the
+        # sender, which is all this cell reads.
+        registry = MetricsRegistry()
+        exp = build_experiment(cfg, obs=registry)
         client = exp.make_client(concurrent_proposals=CP_LEVELS["mid"])
         exp.cluster.run_for(run_duration_ms())
-        total = exp.io.total_all()
+        total = registry.sum_counter("repro_bytes_sent_total")
         # Heartbeats: one request+reply per peer per round per server.
         from repro.omni.messages import HeartbeatReply, HeartbeatRequest
         from repro.omni.ballot import Ballot
-        hb_round_bytes = (HeartbeatRequest(1).wire_size()
-                          + HeartbeatReply(1, Ballot(1, 0, 1), True).wire_size())
+        hb_round_bytes = (wire_size(HeartbeatRequest(1))
+                          + wire_size(HeartbeatReply(1, Ballot(1, 0, 1), True)))
         rounds = exp.cluster.now / 100.0
         ble_bytes = rounds * hb_round_bytes * 5 * 4
         return ble_bytes / total

@@ -2,8 +2,9 @@
 """A live replicated key-value store over real TCP (asyncio runtime).
 
 Boots three Omni-Paxos servers on localhost, each serving a
-:class:`repro.kv.ReplicatedKVStore`, then runs puts, gets, a compare-and-
-swap, and finally kills the leader's process state to show fail-recovery.
+:class:`repro.kv.ReplicatedKVStore`, then runs a put and a compare-and-
+swap and shows every replica applying the same state. Each node hands its
+decided entries to its store (``on_decided=store.ingest``).
 
 Run with::
 
@@ -46,6 +47,7 @@ async def main() -> None:
             addrs[pid],
             {q: a for q, a in addrs.items() if q != pid},
             tick_ms=10.0,
+            on_decided=stores[pid].ingest,
         )
     for node in nodes.values():
         await node.start()
@@ -58,23 +60,18 @@ async def main() -> None:
     now = lambda: asyncio.get_event_loop().time() * 1000.0
 
     seq = leader_store.submit(KVCommand("put", "color", "blue"), now())
-    await wait_for(lambda: (leader_store.pump(), leader_store.result(seq))[1])
+    await wait_for(lambda: leader_store.result(seq))
     print("put color=blue decided")
 
     seq = leader_store.submit(
         KVCommand("cas", "color", value="green", expected="blue"), now()
     )
-    result = await wait_for(
-        lambda: (leader_store.pump(), leader_store.result(seq))[1]
-    )
+    result = await wait_for(lambda: leader_store.result(seq))
     print(f"cas blue->green: ok={result.ok}")
 
     # Every replica applies the same state.
-    for pid in SERVERS:
-        stores[pid].pump()
     await asyncio.sleep(0.3)
     for pid in SERVERS:
-        stores[pid].pump()
         print(f"server {pid} sees color={stores[pid].lookup('color')}")
 
     for node in nodes.values():

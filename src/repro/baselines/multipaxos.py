@@ -44,11 +44,8 @@ from repro.obs.events import (
     RoleChanged,
 )
 from repro.obs.spans import entry_trace_id
-from repro.omni.entry import entry_wire_size
 from repro.replica import Replica
 from repro.util.rng import spawn_rng
-
-_HEADER = 24
 
 #: Gap filler for slots with no recovered value after a leader change.
 NOOP = "__mp_noop__"
@@ -71,9 +68,6 @@ class P1a:
     ballot: Tuple[int, int]
     from_slot: int
 
-    def wire_size(self) -> int:
-        return _HEADER + 24
-
 
 @dataclass(frozen=True, slots=True)
 class P1b:
@@ -83,10 +77,6 @@ class P1b:
     promised: Tuple[int, int]
     accepted: Tuple[Tuple[int, Tuple[int, int], Any], ...]
     decided_upto: int
-
-    def wire_size(self) -> int:
-        payload = sum(24 + entry_wire_size(v) for (_s, _b, v) in self.accepted)
-        return _HEADER + 40 + payload
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,10 +89,6 @@ class P2a:
     values: Tuple[Any, ...]
     decided_upto: int
 
-    def wire_size(self) -> int:
-        payload = sum(entry_wire_size(v) for v in self.values)
-        return _HEADER + 40 + payload
-
 
 @dataclass(frozen=True, slots=True)
 class P2b:
@@ -112,25 +98,16 @@ class P2b:
     promised: Tuple[int, int]
     accepted_upto: int
 
-    def wire_size(self) -> int:
-        return _HEADER + 40
-
 
 @dataclass(frozen=True, slots=True)
 class Ping:
     """Failure-detector probe to the believed leader."""
-
-    def wire_size(self) -> int:
-        return _HEADER
 
 
 @dataclass(frozen=True, slots=True)
 class Pong:
     """Process-alive reply — answered regardless of role, which is exactly
     why the quorum-loss pivot never suspects the degraded leader."""
-
-    def wire_size(self) -> int:
-        return _HEADER
 
 
 # --------------------------------------------------------------------------
@@ -143,10 +120,6 @@ class MultiPaxosConfig:
     peers: Tuple[int, ...]
     #: Failure-detector suspicion timeout (the experiment's election timeout).
     election_timeout_ms: float = 500.0
-    #: Leader heartbeat / FD ping period; defaults to timeout / 5.
-    ping_period_ms: Optional[float] = None
-    #: Base back-off after a failed campaign (grows linearly with attempts).
-    backoff_ms: Optional[float] = None
     max_slots_per_msg: int = 4096
     seed: int = 0
     initial_leader: Optional[int] = None
@@ -161,14 +134,13 @@ class MultiPaxosConfig:
 
     @property
     def ping_period(self) -> float:
-        if self.ping_period_ms is not None:
-            return self.ping_period_ms
+        """Leader heartbeat / FD ping period: a fifth of the timeout."""
         return max(self.election_timeout_ms / 5.0, 1.0)
 
     @property
     def backoff(self) -> float:
-        if self.backoff_ms is not None:
-            return self.backoff_ms
+        """Base back-off after a failed campaign (grows linearly with
+        attempts): half the timeout."""
         return self.election_timeout_ms / 2.0
 
     @property

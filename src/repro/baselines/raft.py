@@ -43,11 +43,9 @@ from repro.obs.events import (
 from repro.obs.health import GrayFailureDetector
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import entry_trace_id
-from repro.omni.entry import SnapshotInstalled, entry_wire_size
+from repro.omni.entry import SnapshotInstalled
 from repro.replica import Replica
 from repro.util.rng import spawn_rng
-
-_HEADER = 24
 
 
 class RaftRole(enum.Enum):
@@ -69,18 +67,12 @@ class RequestVote:
     last_log_term: int
     prevote: bool = False
 
-    def wire_size(self) -> int:
-        return _HEADER + 33
-
 
 @dataclass(frozen=True, slots=True)
 class RequestVoteReply:
     term: int
     granted: bool
     prevote: bool = False
-
-    def wire_size(self) -> int:
-        return _HEADER + 10
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,10 +87,6 @@ class AppendEntries:
     #: can discard stale rejections (flow control, as in raft-rs).
     seq: int = 0
 
-    def wire_size(self) -> int:
-        payload = sum(8 + entry_wire_size(slot.entry) for slot in self.entries)
-        return _HEADER + 44 + payload
-
 
 @dataclass(frozen=True, slots=True)
 class AppendEntriesReply:
@@ -108,9 +96,6 @@ class AppendEntriesReply:
     #: where the leader should retry from (the follower's log length).
     match_idx: int
     seq: int = 0
-
-    def wire_size(self) -> int:
-        return _HEADER + 21
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,18 +114,12 @@ class TimeoutNow:
 
     term: int
 
-    def wire_size(self) -> int:
-        return _HEADER + 8
-
 
 @dataclass(frozen=True, slots=True)
 class RaftConfigChange:
     """A membership-change log entry (takes effect when committed)."""
 
     servers: Tuple[int, ...]
-
-    def wire_size(self) -> int:
-        return 16 + 8 * len(self.servers)
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,15 +133,6 @@ class InstallSnapshot:
     last_term: int
     state: Any
     leader_commit: int
-
-    def wire_size(self) -> int:
-        sizer = getattr(self.state, "wire_size", None)
-        if sizer is not None:
-            return _HEADER + 40 + sizer()
-        try:
-            return _HEADER + 40 + max(len(self.state), 16)
-        except TypeError:
-            return _HEADER + 104
 
 
 # --------------------------------------------------------------------------

@@ -37,8 +37,6 @@ from repro.omni.sequence_paxos import SequencePaxos, SequencePaxosConfig
 from repro.omni.storage import InMemoryStorage, Storage
 from repro.replica import Replica
 
-_HEADER = 24
-
 
 class VRStatus(enum.Enum):
     NORMAL = "normal"
@@ -51,9 +49,6 @@ class StartViewChange:
 
     view: int
 
-    def wire_size(self) -> int:
-        return _HEADER + 8
-
 
 @dataclass(frozen=True, slots=True)
 class DoViewChange:
@@ -62,18 +57,12 @@ class DoViewChange:
 
     view: int
 
-    def wire_size(self) -> int:
-        return _HEADER + 8
-
 
 @dataclass(frozen=True, slots=True)
 class StartView:
     """The new primary announces that ``view`` is operational."""
 
     view: int
-
-    def wire_size(self) -> int:
-        return _HEADER + 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,16 +71,12 @@ class VRPing:
 
     view: int
 
-    def wire_size(self) -> int:
-        return _HEADER + 8
-
 
 @dataclass(frozen=True, slots=True)
 class VRConfig:
     pid: int
     servers: Tuple[int, ...]
     election_timeout_ms: float = 500.0
-    ping_period_ms: Optional[float] = None
     initial_leader: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -104,8 +89,7 @@ class VRConfig:
 
     @property
     def ping_period(self) -> float:
-        if self.ping_period_ms is not None:
-            return self.ping_period_ms
+        """Primary heartbeat period: a fifth of the timeout."""
         return max(self.election_timeout_ms / 5.0, 1.0)
 
     @property

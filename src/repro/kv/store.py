@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.errors import ReproError
 from repro.omni.entry import Command, is_stopsign
@@ -185,9 +185,10 @@ class KVStateMachine:
 class ReplicatedKVStore:
     """A KV store served by one Omni-Paxos server.
 
-    The caller drives the server (via the simulator or the asyncio runtime);
-    this wrapper drains its decided entries into the state machine and
-    resolves pending operations. Each store instance owns a client session
+    The caller drives the server and feeds its decided entries to
+    :meth:`ingest` (a ``SimCluster.on_decided`` observer, or a
+    ``RuntimeNode``'s ``on_decided`` handler); this wrapper applies them
+    to the state machine and resolves pending operations. Each store instance owns a client session
     on its server, so a process embedding the store gets exactly-once writes
     even across retries.
     """
@@ -218,22 +219,6 @@ class ReplicatedKVStore:
         self._next_seq += 1
         self._server.propose(encode_command(cmd, self._client_id, seq), now_ms)
         return seq
-
-    def pump(self) -> List[KVResult]:
-        """Apply newly decided entries drained from the server directly.
-
-        Use this when nothing else consumes the server's decided stream
-        (e.g. under :class:`repro.runtime.RuntimeNode` without a decided
-        handler). Under :class:`repro.sim.SimCluster` — which drains the
-        stream for its observers — feed entries in via :meth:`ingest` from
-        an ``on_decided`` observer instead.
-        """
-        applied: List[KVResult] = []
-        for idx, entry in self._server.take_decided():
-            result = self.ingest(idx, entry)
-            if result is not None:
-                applied.append(result)
-        return applied
 
     def ingest(self, idx: int, entry) -> Optional[KVResult]:
         """Apply one decided entry (stop-signs and foreign types skipped)."""

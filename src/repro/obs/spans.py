@@ -97,10 +97,6 @@ class TraceContext:
             parent_id=payload.get("parent_id", ""),
         )
 
-    #: Approximate serialized cost of carrying a context on the wire
-    #: (two short ids plus the trace id; used by ``Envelope.wire_size``).
-    WIRE_SIZE = 24
-
 
 def entry_trace_id(entry: Any) -> str:
     """The canonical trace id for a client command, or ``""``.

@@ -26,10 +26,6 @@ class Command:
     client_id: int = 0
     seq: int = 0
 
-    def wire_size(self) -> int:
-        """Approximate serialized size in bytes (payload + small header)."""
-        return len(self.data) + 16
-
 
 @dataclass(frozen=True, slots=True)
 class StopSign:
@@ -43,12 +39,6 @@ class StopSign:
     config_id: int
     servers: Tuple[int, ...]
     metadata: Optional[bytes] = field(default=None)
-
-    def wire_size(self) -> int:
-        size = 24 + 8 * len(self.servers)
-        if self.metadata is not None:
-            size += len(self.metadata)
-        return size
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,24 +55,8 @@ class SnapshotInstalled:
 
     state: Any
 
-    def wire_size(self) -> int:
-        sizer = getattr(self.state, "wire_size", None)
-        if sizer is not None:
-            return sizer()
-        try:
-            return max(len(self.state), 16)  # bytes-like states
-        except TypeError:
-            return 64
-
 
 def is_stopsign(entry: Any) -> bool:
     """Return True when ``entry`` is a stop-sign."""
     return isinstance(entry, StopSign)
 
-
-def entry_wire_size(entry: Any) -> int:
-    """Approximate serialized size of any log entry."""
-    wire_size = getattr(entry, "wire_size", None)
-    if wire_size is not None:
-        return wire_size()
-    return 16

@@ -1,10 +1,5 @@
 """Wire messages for BLE, Sequence Paxos, and the service layer.
 
-Every message implements ``wire_size()`` returning an approximate
-serialized size in bytes. The simulator uses it to account per-server IO,
-which the paper reports for the reconfiguration experiments (peak outgoing
-MB per 5 s window at the leader).
-
 Messages are frozen (and, on 3.10+, slotted) dataclasses: the simulator
 may deliver the same object to several recipients, so immutability is
 load-bearing, and slots cut per-message memory and attribute-read cost on
@@ -18,15 +13,6 @@ from typing import Any, Optional, Tuple
 
 from repro.obs.spans import TraceContext
 from repro.omni.ballot import Ballot
-from repro.omni.entry import entry_wire_size
-
-_HEADER = 24  # rough per-message framing overhead (type tag, src, dst, len)
-_BALLOT = 20  # three varints, conservatively
-
-
-def entries_wire_size(entries: Tuple[Any, ...]) -> int:
-    """Total approximate size of a tuple of log entries."""
-    return sum(entry_wire_size(entry) for entry in entries)
 
 
 # --------------------------------------------------------------------------
@@ -39,9 +25,6 @@ class HeartbeatRequest:
 
     round: int
 
-    def wire_size(self) -> int:
-        return _HEADER + 8
-
 
 @dataclass(frozen=True, slots=True)
 class HeartbeatReply:
@@ -50,9 +33,6 @@ class HeartbeatReply:
     round: int
     ballot: Ballot
     quorum_connected: bool
-
-    def wire_size(self) -> int:
-        return _HEADER + 8 + _BALLOT + 1
 
 
 # --------------------------------------------------------------------------
@@ -73,22 +53,6 @@ class Prepare:
     log_idx: int
     decided_idx: int
 
-    def wire_size(self) -> int:
-        return _HEADER + 2 * _BALLOT + 16
-
-
-def _snapshot_wire_size(snapshot: Optional[Tuple[Any, int]]) -> int:
-    if snapshot is None:
-        return 0
-    state, _covers = snapshot
-    sizer = getattr(state, "wire_size", None)
-    if sizer is not None:
-        return sizer() + 8
-    try:
-        return max(len(state), 16) + 8
-    except TypeError:
-        return 72
-
 
 @dataclass(frozen=True, slots=True)
 class Promise:
@@ -105,10 +69,6 @@ class Promise:
     log_idx: int
     decided_idx: int
     snapshot: Optional[Tuple[Any, int]] = None
-
-    def wire_size(self) -> int:
-        return (_HEADER + 2 * _BALLOT + 16 + entries_wire_size(self.suffix)
-                + _snapshot_wire_size(self.snapshot))
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,10 +93,6 @@ class AcceptSync:
     snapshot: Optional[Tuple[Any, int]] = None
     session: int = 1
 
-    def wire_size(self) -> int:
-        return (_HEADER + _BALLOT + 20 + entries_wire_size(self.suffix)
-                + _snapshot_wire_size(self.snapshot))
-
 
 @dataclass(frozen=True, slots=True)
 class AcceptDecide:
@@ -158,9 +114,6 @@ class AcceptDecide:
     seq: int = 0
     session: int = 1
 
-    def wire_size(self) -> int:
-        return _HEADER + _BALLOT + 16 + entries_wire_size(self.entries)
-
 
 @dataclass(frozen=True, slots=True)
 class Accepted:
@@ -172,9 +125,6 @@ class Accepted:
     log_idx: int
     decided_idx: int = 0
 
-    def wire_size(self) -> int:
-        return _HEADER + _BALLOT + 16
-
 
 @dataclass(frozen=True, slots=True)
 class Trim:
@@ -184,9 +134,6 @@ class Trim:
     n: Ballot
     trimmed_idx: int
 
-    def wire_size(self) -> int:
-        return _HEADER + _BALLOT + 8
-
 
 @dataclass(frozen=True, slots=True)
 class Decide:
@@ -195,9 +142,6 @@ class Decide:
     n: Ballot
     decided_idx: int
 
-    def wire_size(self) -> int:
-        return _HEADER + _BALLOT + 8
-
 
 @dataclass(frozen=True, slots=True)
 class PrepareReq:
@@ -205,18 +149,12 @@ class PrepareReq:
     leader (if the recipient is one) to send a fresh Prepare
     (paper section 4.1.3)."""
 
-    def wire_size(self) -> int:
-        return _HEADER
-
 
 @dataclass(frozen=True, slots=True)
 class ProposalForward:
     """Follower -> leader: forward client proposals to the leader."""
 
     entries: Tuple[Any, ...]
-
-    def wire_size(self) -> int:
-        return _HEADER + entries_wire_size(self.entries)
 
 
 # --------------------------------------------------------------------------
@@ -235,12 +173,6 @@ class NewConfiguration:
     donors: Tuple[int, ...] = ()
     metadata: Optional[bytes] = None
 
-    def wire_size(self) -> int:
-        size = _HEADER + 16 + 8 * (len(self.servers) + len(self.donors))
-        if self.metadata is not None:
-            size += len(self.metadata)
-        return size
-
 
 @dataclass(frozen=True, slots=True)
 class JoinComplete:
@@ -249,9 +181,6 @@ class JoinComplete:
     announcements)."""
 
     config_id: int
-
-    def wire_size(self) -> int:
-        return _HEADER + 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,9 +191,6 @@ class LogPullRequest:
     config_id: int
     from_idx: int
     to_idx: int
-
-    def wire_size(self) -> int:
-        return _HEADER + 24
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,9 +206,6 @@ class LogSegment:
     from_idx: int
     entries: Tuple[Any, ...]
     complete: bool
-
-    def wire_size(self) -> int:
-        return _HEADER + 16 + 1 + entries_wire_size(self.entries)
 
 
 # --------------------------------------------------------------------------
@@ -310,12 +233,6 @@ class Envelope:
     payload: Any
     #: Optional causal-tracing context (see :mod:`repro.obs.spans`).
     trace: Optional["TraceContext"] = None
-
-    def wire_size(self) -> int:
-        base = 6 + self.payload.wire_size()
-        if self.trace is not None:
-            base += TraceContext.WIRE_SIZE
-        return base
 
 
 #: Every wire-crossing message type this module defines, in definition

@@ -523,7 +523,7 @@ class OmniPaxosServer(Replica):
         out, self._decided_out = self._decided_out, []
         return out
 
-    def take_ready(self, decided: bool = True) -> Ready:
+    def take_ready(self) -> Ready:
         """:meth:`take_outbox` and :meth:`take_decided` with the storage
         write made here and its fsync left to the caller.
 
@@ -532,14 +532,13 @@ class OmniPaxosServer(Replica):
         ``AcceptDecide`` messages that replicate new entries are ``early``
         (each behind nothing held for its follower), everything else
         waits for the fsync, and ``synced`` then counts the leader's own
-        acceptance of what this write carried. ``decided=False`` leaves
-        decided entries queued for :meth:`take_decided`.
+        acceptance of what this write carried.
         """
         if self._proposed:
             self._collect_proposed()
         marks = self._self_accept_marks()
         if not (self._outbox or marks
-                or (decided and self._decided_out and not self._crashed)):
+                or (self._decided_out and not self._crashed)):
             return _NOTHING
         obs = self._obs if self._obs_on else None
         started_ms = obs.now_ms() if obs is not None else 0.0
@@ -549,7 +548,7 @@ class OmniPaxosServer(Replica):
             records += more
         out, self._outbox = self._outbox, []
         handed: List[Tuple[int, Any]] = []
-        if decided and not self._crashed:
+        if not self._crashed:
             handed, self._decided_out = self._decided_out, []
         if fsyncs or self._unsynced:
             self._unsynced.append((bool(fsyncs), handed))

@@ -72,15 +72,13 @@ class ReplicaHooks(Instrumented):
     defaults, and a proxied replica hands out synchronously.
     """
 
-    def take_ready(self, decided: bool = True) -> Ready:
+    def take_ready(self) -> Ready:
         """Everything to hand out, as a :class:`Ready`. Default: the
-        synchronous hand-out, :meth:`Replica.take_outbox` then (unless
-        ``decided`` is False, which leaves them queued)
+        synchronous hand-out, :meth:`Replica.take_outbox` then
         :meth:`Replica.take_decided`, with no fsync owed."""
         replica: Replica = self  # type: ignore[assignment]
         outbox = replica.take_outbox()
-        return Ready(outbox=outbox,
-                     decided=replica.take_decided() if decided else ())
+        return Ready(outbox=outbox, decided=replica.take_decided())
 
     def queue_depths(self) -> Dict[str, int]:
         """Instantaneous depths of the staging queues by name, sampled by

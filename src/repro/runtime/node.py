@@ -107,6 +107,10 @@ class _DiskThread:
                 return  # the loop is closed: nobody is waiting
 
 
+def _drop_decided(idx: int, entry: Any) -> None:
+    """The decided handler of a node given none."""
+
+
 class RuntimeNode:
     """One live server process: replica + transport + timer pump."""
 
@@ -125,7 +129,9 @@ class RuntimeNode:
     ):
         self._replica = replica
         self._tick_s = tick_ms / 1000.0
-        self._on_decided = on_decided
+        #: Decided entries always leave the replica; with no handler they
+        #: are dropped here, as a SimCluster with no observers drops them.
+        self._on_decided = on_decided or _drop_decided
         self._obs = obs if obs is not None else NULL_REGISTRY
         self._mesh = TcpMesh(
             pid=replica.pid,
@@ -375,9 +381,7 @@ class RuntimeNode:
         if not self._running:
             return
         try:
-            # No handler: leave decided entries queued in the replica for
-            # an external consumer (e.g. a ReplicatedKVStore pumping it).
-            ready = self._replica.take_ready(self._on_decided is not None)
+            ready = self._replica.take_ready()
         except StorageError:
             self._storage_failed()
             return

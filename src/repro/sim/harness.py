@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
-from repro.omni.entry import Command, entry_wire_size
+from repro.omni.entry import Command
 from repro.omni.reconfig import PARALLEL
 from repro.omni.server import ClusterConfig, OmniPaxosConfig, OmniPaxosServer
 from repro.omni.storage import InMemoryStorage, Storage
@@ -30,7 +30,7 @@ from repro.baselines.vr import VRConfig, VRReplica
 from repro.replica import Replica
 from repro.sim.cluster import SimCluster
 from repro.sim.events import EventQueue
-from repro.sim.metrics import IOTracker
+from repro.sim.metrics import entry_size
 from repro.sim.network import NetworkParams, SimNetwork
 from repro.sim.workload import ClosedLoopClient, WorkloadParams
 from repro.util.rng import spawn_rng
@@ -57,19 +57,9 @@ class ExperimentConfig:
     tick_ms: Optional[float] = None
     #: Finite sender NIC bandwidth (bytes/ms); None = infinite.
     egress_bytes_per_ms: Optional[float] = None
-    io_window_ms: float = 5000.0
     #: Omni-only: "parallel" or "leader" log migration.
     migration_strategy: str = PARALLEL
     migration_chunk_entries: int = 10_000
-    #: Cap on entries per bulk replication message (Raft AppendEntries /
-    #: Multi-Paxos P2a). None derives it so one message's transmission time
-    #: stays well under the election timeout when egress is finite, like
-    #: real systems' max-message-size settings.
-    max_batch_entries: Optional[int] = None
-    #: Representative log entry used to size bulk-replication batches when
-    #: ``max_batch_entries`` is derived; None means the workload's 8-byte
-    #: no-op command.
-    batch_sample_entry: Optional[Any] = None
     #: Omni-only hook: ``wrapper(pid, storage) -> storage`` applied to every
     #: freshly created backing store, letting fault injectors (e.g. the chaos
     #: engine's FaultyStorage) interpose on disk writes per server.
@@ -97,15 +87,16 @@ class ExperimentConfig:
 
     @property
     def effective_max_batch(self) -> int:
-        if self.max_batch_entries is not None:
-            return self.max_batch_entries
+        """Cap on entries per bulk replication message (Raft
+        ``AppendEntries`` / Multi-Paxos ``P2a``), from
+        :func:`derive_max_batch`."""
         return derive_max_batch(self.egress_bytes_per_ms,
-                                self.election_timeout_ms,
-                                self.batch_sample_entry)
+                                self.election_timeout_ms)
 
 
 #: Default sizing sample for :func:`derive_max_batch`: the workload's
-#: 8-byte no-op command, which the codec sizes at 24 wire bytes.
+#: 8-byte no-op command, which the simulator's byte model sizes at 24
+#: bytes (the encoder writes it in 15).
 _DEFAULT_SAMPLE_ENTRY = Command(data=bytes(8))
 
 
@@ -117,9 +108,9 @@ def derive_max_batch(egress_bytes_per_ms: Optional[float],
     settings, which keep heartbeats from starving behind bulk catch-up
     traffic.
 
-    Per-entry wire bytes come from the codec's own sizing
-    (:func:`~repro.omni.entry.entry_wire_size`) of ``sample_entry``; the
-    default sample is the workload's 8-byte no-op command (24 wire bytes).
+    Per-entry bytes come from the simulator's byte model
+    (:func:`~repro.sim.metrics.entry_size`) of ``sample_entry``; the
+    default sample is the workload's 8-byte no-op command (24 bytes).
     Workloads with larger payloads should pass a representative entry so
     the derived batch reflects their actual message sizes.
     """
@@ -127,7 +118,7 @@ def derive_max_batch(egress_bytes_per_ms: Optional[float],
         return 4096
     if sample_entry is None:
         sample_entry = _DEFAULT_SAMPLE_ENTRY
-    entry_bytes = max(entry_wire_size(sample_entry), 1)
+    entry_bytes = max(entry_size(sample_entry), 1)
     batch = int(egress_bytes_per_ms * 0.05 * election_timeout_ms / entry_bytes)
     return max(min(batch, 4096), 16)
 
@@ -140,7 +131,6 @@ class Experiment:
     cluster: SimCluster
     queue: EventQueue
     network: SimNetwork
-    io: IOTracker
     #: Observability registry; the no-op singleton unless one was passed to
     #: :func:`build_experiment`.
     obs: MetricsRegistry = NULL_REGISTRY
@@ -342,15 +332,12 @@ def build_experiment(cfg: ExperimentConfig,
     registry = obs if obs is not None else NULL_REGISTRY
     queue = EventQueue()
     registry.set_clock(lambda: queue.now)
-    io = IOTracker(window_ms=cfg.io_window_ms)
     params = NetworkParams(
         one_way_ms=cfg.one_way_ms,
         jitter_ms=cfg.jitter_ms,
         egress_bytes_per_ms=cfg.egress_bytes_per_ms,
     )
-    network = SimNetwork(
-        queue, params, rng=spawn_rng(cfg.seed, "net"), io_tracker=io
-    )
+    network = SimNetwork(queue, params, rng=spawn_rng(cfg.seed, "net"))
     network.set_observability(registry)
     for (a, b), ms in cfg.latency_map.items():
         network.set_latency(a, b, ms)
@@ -361,7 +348,7 @@ def build_experiment(cfg: ExperimentConfig,
                          tick_ms=cfg.effective_tick_ms)
     cluster.start()
     return Experiment(config=cfg, cluster=cluster, queue=queue,
-                      network=network, io=io, obs=registry)
+                      network=network, obs=registry)
 
 
 def wan_latency_map(servers: Tuple[int, ...],

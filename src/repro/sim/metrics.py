@@ -8,17 +8,22 @@ The paper reports three kinds of measurements:
 - per-server outgoing IO volume, peak per 5 s window (section 7.3).
 
 :class:`DecidedTracker` and :class:`IOTracker` compute exactly those from
-raw event streams.
+raw event streams. :func:`wire_size` is the one byte model the simulated
+network charges per message, for IO and for finite-egress delay.
 """
 
 from __future__ import annotations
 
 import bisect
 from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.baselines import multipaxos as mp
+from repro.baselines import raft
+from repro.baselines import vr
 from repro.errors import ConfigError
-from repro.omni.messages import Envelope
+from repro.omni import messages as om
+from repro.omni.entry import Command, SnapshotInstalled, StopSign
 
 
 class DecidedTracker:
@@ -135,25 +140,105 @@ class IOTracker:
         return [(k * self._window_ms, v) for k, v in sorted(windows.items())]
 
 
-#: Per-message framing overhead assumed for payloads that cannot size
-#: themselves (matches ``_HEADER`` in :mod:`repro.omni.messages`).
+# --------------------------------------------------------------------------
+# the byte model
+# --------------------------------------------------------------------------
+# Hand sizes, not the encoder's: a 24-byte header per message, 20 bytes
+# per ballot, 8 per integer, and each entry at its own size. The network
+# charges them to the sender's IO and, with finite egress, turns them into
+# transmission delay (docs/SIMULATOR.md, "Byte model").
+
+#: A payload the table has no rule for.
 _FALLBACK_PAYLOAD_BYTES = 24
-#: The envelope's own framing cost (config id + component tag).
-_ENVELOPE_HEADER_BYTES = 6
+#: A log entry the table has no rule for.
+_FALLBACK_ENTRY_BYTES = 16
 
 
-def wire_size(msg) -> int:
-    """Approximate serialized size of any message.
+def entry_size(entry: Any) -> int:
+    """The simulated size of one log entry (the 16-byte fallback when
+    its class has no rule)."""
+    rule = SIZE_RULES.get(entry.__class__)
+    return rule(entry) if rule is not None else _FALLBACK_ENTRY_BYTES
 
-    Messages that implement ``wire_size()`` answer for themselves. An
-    :class:`~repro.omni.messages.Envelope` around a payload *without* a
-    sizer is accounted as envelope header plus the payload fallback —
-    previously such envelopes were flattened to 24 bytes total, which
-    systematically undercounted IOTracker numbers for unsized messages.
-    """
-    if isinstance(msg, Envelope):
-        return _ENVELOPE_HEADER_BYTES + wire_size(msg.payload)
-    sizer = getattr(msg, "wire_size", None)
-    if sizer is not None:
-        return sizer()
-    return _FALLBACK_PAYLOAD_BYTES
+
+def _entries(entries: Tuple[Any, ...]) -> int:
+    return sum(entry_size(entry) for entry in entries)
+
+
+def _state(state: Any) -> int:
+    """A snapshot state: its rule, else its length (at least 16), else 64."""
+    rule = SIZE_RULES.get(state.__class__)
+    if rule is not None:
+        return rule(state)
+    try:
+        return max(len(state), 16)
+    except TypeError:
+        return 64
+
+
+def _snapshot(snapshot: Optional[Tuple[Any, int]]) -> int:
+    """An optional ``(state, covers_idx)`` pair."""
+    return 0 if snapshot is None else _state(snapshot[0]) + 8
+
+
+def _blob(blob: Optional[bytes]) -> int:
+    return 0 if blob is None else len(blob)
+
+
+#: Exact class -> size rule, as :mod:`repro.encoding` dispatches its
+#: encoders. Every registered message class has one, bar the values
+#: carried inside messages and the transport's own probes.
+SIZE_RULES: Dict[type, Callable[[Any], int]] = {
+    # log entries
+    Command: lambda m: len(m.data) + 16,
+    StopSign: lambda m: 24 + 8 * len(m.servers) + _blob(m.metadata),
+    SnapshotInstalled: lambda m: _state(m.state),
+    # Omni-Paxos: BLE, Sequence Paxos, service layer
+    om.HeartbeatRequest: lambda m: 32,
+    om.HeartbeatReply: lambda m: 53,
+    om.Prepare: lambda m: 80,
+    om.Promise: lambda m: 80 + _entries(m.suffix) + _snapshot(m.snapshot),
+    om.AcceptSync: lambda m: 64 + _entries(m.suffix) + _snapshot(m.snapshot),
+    om.AcceptDecide: lambda m: 60 + _entries(m.entries),
+    om.Accepted: lambda m: 60,
+    om.Trim: lambda m: 52,
+    om.Decide: lambda m: 52,
+    om.PrepareReq: lambda m: 24,
+    om.ProposalForward: lambda m: 24 + _entries(m.entries),
+    om.NewConfiguration: lambda m: (40 + 8 * (len(m.servers) + len(m.donors))
+                                    + _blob(m.metadata)),
+    om.JoinComplete: lambda m: 32,
+    om.LogPullRequest: lambda m: 48,
+    om.LogSegment: lambda m: 41 + _entries(m.entries),
+    # the multiplexing envelope: config id and component tag; a trace
+    # context rides free
+    om.Envelope: lambda m: 6 + wire_size(m.payload),
+    # Raft
+    raft.RequestVote: lambda m: 57,
+    raft.RequestVoteReply: lambda m: 34,
+    raft.AppendEntries: lambda m: 68 + sum(8 + entry_size(slot.entry)
+                                           for slot in m.entries),
+    raft.AppendEntriesReply: lambda m: 45,
+    raft.TimeoutNow: lambda m: 32,
+    raft.RaftConfigChange: lambda m: 16 + 8 * len(m.servers),
+    raft.InstallSnapshot: lambda m: 64 + _state(m.state),
+    # Multi-Paxos
+    mp.P1a: lambda m: 48,
+    mp.P1b: lambda m: 64 + sum(24 + entry_size(v) for _s, _b, v in m.accepted),
+    mp.P2a: lambda m: 64 + _entries(m.values),
+    mp.P2b: lambda m: 64,
+    mp.Ping: lambda m: 24,
+    mp.Pong: lambda m: 24,
+    # Viewstamped Replication
+    vr.StartViewChange: lambda m: 32,
+    vr.DoViewChange: lambda m: 32,
+    vr.StartView: lambda m: 32,
+    vr.VRPing: lambda m: 32,
+}
+
+
+def wire_size(msg: Any) -> int:
+    """The simulated size of ``msg`` in bytes: its class's rule in
+    :data:`SIZE_RULES`, else the 24-byte payload fallback."""
+    rule = SIZE_RULES.get(msg.__class__)
+    return rule(msg) if rule is not None else _FALLBACK_PAYLOAD_BYTES

@@ -30,6 +30,7 @@ from repro.omni.entry import Command
 from repro.omni.server import OmniPaxosServer
 from repro.omni.storage import InMemoryStorage, Storage
 from repro.sim.harness import Experiment, ExperimentConfig, make_replica
+from repro.sim.metrics import IOTracker
 
 #: Default roles: five initial servers, the seeded leader is 3.
 INITIAL_SERVERS = (1, 2, 3, 4, 5)
@@ -129,14 +130,13 @@ def run_reconfiguration_experiment(
         seed=seed,
         initial_leader=LEADER,
         egress_bytes_per_ms=egress_bytes_per_ms,
-        io_window_ms=window_ms,
         migration_strategy=migration_strategy,
         migration_chunk_entries=derive_max_batch(
             egress_bytes_per_ms, election_timeout_ms
         ),
     )
     preload = _preload_entries(preload_entries, entry_bytes)
-    exp = _build_with_preload(cfg, preload, joiners)
+    exp, io = _build_with_preload(cfg, preload, joiners, window_ms)
     client = exp.make_client(concurrent_proposals=concurrent_proposals)
     exp.cluster.run_for(warmup_ms)
     baseline = client.tracker.throughput(0, warmup_ms) * window_ms / 1000.0
@@ -170,30 +170,31 @@ def run_reconfiguration_experiment(
         max_drop=max_drop,
         degraded_ms=degraded_ms,
         downtime_ms=client.tracker.downtime(reconfig_at, end),
-        leader_peak_window_bytes=exp.io.peak_window_bytes(LEADER),
-        leader_total_bytes=exp.io.total_bytes(LEADER),
+        leader_peak_window_bytes=io.peak_window_bytes(LEADER),
+        leader_total_bytes=io.total_bytes(LEADER),
         busiest_old_peak_window_bytes=max(
-            exp.io.peak_window_bytes(pid) for pid in INITIAL_SERVERS
+            io.peak_window_bytes(pid) for pid in INITIAL_SERVERS
         ),
         old_servers_total_bytes=sum(
-            exp.io.total_bytes(pid) for pid in INITIAL_SERVERS
+            io.total_bytes(pid) for pid in INITIAL_SERVERS
         ),
         completed_at_ms=completed,
     )
 
 
 def _build_with_preload(cfg: ExperimentConfig, preload: Tuple[Command, ...],
-                        joiners: Tuple[int, ...]) -> Experiment:
-    """Build the experiment, pre-loading members and registering joiners."""
+                        joiners: Tuple[int, ...], window_ms: float
+                        ) -> Tuple[Experiment, IOTracker]:
+    """Build the experiment, pre-loading members and registering joiners,
+    with an IO tracker of ``window_ms`` windows on its network."""
     from repro.omni.server import ClusterConfig, OmniPaxosConfig, OmniPaxosServer
     from repro.sim.cluster import SimCluster
     from repro.sim.events import EventQueue
-    from repro.sim.metrics import IOTracker
     from repro.sim.network import NetworkParams, SimNetwork
     from repro.util.rng import spawn_rng
 
     queue = EventQueue()
-    io = IOTracker(window_ms=cfg.io_window_ms)
+    io = IOTracker(window_ms=window_ms)
     network = SimNetwork(
         queue,
         NetworkParams(one_way_ms=cfg.one_way_ms,
@@ -230,7 +231,7 @@ def _build_with_preload(cfg: ExperimentConfig, preload: Tuple[Command, ...],
                          tick_ms=cfg.effective_tick_ms)
     cluster.start()
     return Experiment(config=cfg, cluster=cluster, queue=queue,
-                      network=network, io=io)
+                      network=network), io
 
 
 def _converged(exp: Experiment, new_config: Tuple[int, ...],

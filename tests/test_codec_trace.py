@@ -6,6 +6,7 @@ costs nothing on the wire, and — the backward-compat guarantee — that
 JSON-lines exports from before the tracing layer still load.
 """
 
+from repro.encoding import write_value
 from repro.obs.events import ClientReplyDecided, event_from_dict, event_to_dict
 from repro.obs.events import EventRecord
 from repro.obs.spans import TraceContext
@@ -41,7 +42,11 @@ class TestEnvelopeRoundTrip:
         bare = Envelope(config_id=0, component="ble", payload=payload)
         traced = Envelope(config_id=0, component="ble", payload=payload,
                           trace=TraceContext("c1-0"))
-        assert traced.wire_size() == bare.wire_size() + TraceContext.WIRE_SIZE
+        ctx = bytearray()
+        write_value(ctx, traced.trace)
+        # The bare envelope's one-byte None is all an absent trace costs.
+        assert len(encode_frame(1, traced)) == \
+            len(encode_frame(1, bare)) - 1 + len(ctx)
 
     def test_split_frame_delivery(self):
         env = Envelope(config_id=0, component="sp",

@@ -63,15 +63,15 @@ class TestBatchDerivation:
         assert small < derive_max_batch(100.0, 100.0, noop)
         assert small >= 16
 
-    def test_sample_entry_flows_through_config(self):
+    def test_config_derives_from_the_default_sample(self):
         from repro.omni.entry import Command
 
-        base = ExperimentConfig(egress_bytes_per_ms=100.0,
-                                election_timeout_ms=100.0)
-        big = ExperimentConfig(egress_bytes_per_ms=100.0,
-                               election_timeout_ms=100.0,
-                               batch_sample_entry=Command(data=bytes(1000)))
-        assert big.effective_max_batch < base.effective_max_batch
+        cfg = ExperimentConfig(egress_bytes_per_ms=100.0,
+                               election_timeout_ms=100.0)
+        assert cfg.effective_max_batch == \
+            derive_max_batch(100.0, 100.0, Command(data=bytes(8)))
+        assert derive_max_batch(100.0, 100.0, Command(data=bytes(1000))) \
+            < cfg.effective_max_batch
 
 
 class TestFactory:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.omni.ballot import Ballot
-from repro.omni.entry import Command, StopSign, entry_wire_size, is_stopsign
+from repro.omni.entry import Command, StopSign, is_stopsign
 from repro.omni.messages import (
     Accepted,
     AcceptDecide,
@@ -23,8 +23,8 @@ from repro.omni.messages import (
     PrepareReq,
     Promise,
     ProposalForward,
-    entries_wire_size,
 )
+from repro.sim.metrics import entry_size, wire_size
 
 B = Ballot(3, 0, 2)
 
@@ -50,26 +50,29 @@ def all_messages():
 
 
 class TestWireSizes:
+    """Relations the simulator's byte model keeps (its exact sizes are
+    pinned in ``test_byte_model.py``)."""
+
     @pytest.mark.parametrize("msg", all_messages(),
                              ids=lambda m: type(m).__name__)
     def test_positive_size(self, msg):
-        assert msg.wire_size() > 0
+        assert wire_size(msg) > 0
 
     def test_payload_dominates_large_batches(self):
         small = AcceptDecide(B, (Command(b"x" * 8),), 0)
         big = AcceptDecide(B, tuple(Command(b"x" * 8) for _ in range(1000)), 0)
-        assert big.wire_size() > 900 * small.wire_size() / 10
+        assert wire_size(big) > 900 * wire_size(small) / 10
 
     def test_entries_wire_size_sums(self):
         entries = (Command(b"abcd"), Command(b"efgh"))
-        assert entries_wire_size(entries) == sum(
-            e.wire_size() for e in entries
-        )
+        assert wire_size(AcceptDecide(B, entries, 0)) - \
+            wire_size(AcceptDecide(B, (), 0)) == sum(
+                entry_size(e) for e in entries)
 
     def test_envelope_adds_small_overhead(self):
         inner = Accepted(B, 1)
         env = Envelope(0, COMPONENT_SP, inner)
-        assert inner.wire_size() < env.wire_size() < inner.wire_size() + 16
+        assert wire_size(inner) < wire_size(env) < wire_size(inner) + 16
 
     def test_messages_are_immutable(self):
         msg = Decide(B, 1)
@@ -79,17 +82,17 @@ class TestWireSizes:
 
 class TestEntries:
     def test_command_wire_size_tracks_payload(self):
-        assert Command(b"x" * 100).wire_size() == 116
+        assert wire_size(Command(b"x" * 100)) == 116
 
     def test_stopsign_wire_size_tracks_members(self):
         small = StopSign(1, (1,))
         large = StopSign(1, tuple(range(1, 11)))
-        assert large.wire_size() > small.wire_size()
+        assert wire_size(large) > wire_size(small)
 
     def test_stopsign_metadata_counted(self):
         plain = StopSign(1, (1, 2))
         meta = StopSign(1, (1, 2), metadata=b"z" * 64)
-        assert meta.wire_size() == plain.wire_size() + 64
+        assert wire_size(meta) == wire_size(plain) + 64
 
     def test_is_stopsign(self):
         assert is_stopsign(StopSign(1, (1,)))
@@ -97,7 +100,7 @@ class TestEntries:
         assert not is_stopsign("random")
 
     def test_entry_wire_size_fallback(self):
-        assert entry_wire_size(object()) == 16
+        assert entry_size(object()) == 16
 
     def test_command_identity_fields(self):
         c = Command(b"data", client_id=7, seq=9)

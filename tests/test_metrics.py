@@ -3,14 +3,9 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.omni.messages import Envelope
-from repro.sim.metrics import (
-    _ENVELOPE_HEADER_BYTES,
-    _FALLBACK_PAYLOAD_BYTES,
-    DecidedTracker,
-    IOTracker,
-    wire_size,
-)
+from repro.omni.ballot import Ballot
+from repro.omni.messages import Accepted, Envelope
+from repro.sim.metrics import DecidedTracker, IOTracker, wire_size
 
 
 class TestDecidedTracker:
@@ -154,28 +149,17 @@ class TestIOTracker:
 
 
 class TestWireSize:
-    def test_uses_method_when_present(self):
-        class Sized:
-            def wire_size(self):
-                return 77
-
-        assert wire_size(Sized()) == 77
-
     def test_fallback(self):
         assert wire_size(object()) == 24
 
     def test_envelope_wraps_payload_size(self):
-        class Sized:
-            def wire_size(self):
-                return 100
-
-        env = Envelope(config_id=0, component="sp", payload=Sized())
-        assert wire_size(env) == _ENVELOPE_HEADER_BYTES + 100
+        payload = Accepted(Ballot(1, 0, 1), 3)
+        env = Envelope(config_id=0, component="sp", payload=payload)
+        assert wire_size(env) == 6 + wire_size(payload)
 
     def test_envelope_around_unsized_payload(self):
-        # Previously flattened to the bare 24-byte fallback, undercounting
-        # the envelope's own framing.
+        # The envelope's own framing on top of the payload fallback, not
+        # the bare 24-byte fallback for the whole message.
         env = Envelope(config_id=0, component="sp", payload=object())
-        assert wire_size(env) == \
-            _ENVELOPE_HEADER_BYTES + _FALLBACK_PAYLOAD_BYTES
+        assert wire_size(env) == 6 + 24
         assert wire_size(env) > wire_size(object())

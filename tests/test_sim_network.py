@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.omni.messages import PrepareReq
 from repro.sim.events import EventQueue
-from repro.sim.metrics import IOTracker
+from repro.sim.metrics import SIZE_RULES, IOTracker, wire_size
 from repro.sim.network import NetworkParams, SimNetwork
 
 
@@ -16,10 +16,13 @@ class Msg:
 
     def __init__(self, tag, size=100):
         self.tag = tag
-        self._size = size
+        self.size = size
 
-    def wire_size(self):
-        return self._size
+
+@pytest.fixture(autouse=True)
+def sized_msg(monkeypatch):
+    """Give :class:`Msg` a rule in the byte model for these tests."""
+    monkeypatch.setitem(SIZE_RULES, Msg, lambda m: m.size)
 
 
 def build(params=NetworkParams(one_way_ms=1.0), rng=None, io=None):
@@ -167,7 +170,7 @@ class TestIOAccounting:
         io = IOTracker()
         q, net, inbox = build(io=io)
         net.send(1, 2, PrepareReq())
-        assert io.total_bytes(1) == PrepareReq().wire_size()
+        assert io.total_bytes(1) == wire_size(PrepareReq())
 
 
 class TestDuplication:

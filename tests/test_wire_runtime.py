@@ -419,8 +419,8 @@ class TestUnencodable:
             _, nodes = omni_nodes(decided, reg)
             take_ready = nodes[1].replica.take_ready
 
-            def with_a_set_first(decided=True):
-                ready = take_ready(decided)
+            def with_a_set_first():
+                ready = take_ready()
                 return replace(ready, outbox=[(2, {1, 2}), *ready.outbox])
 
             nodes[1].replica.take_ready = with_a_set_first
@@ -447,6 +447,38 @@ class TestUnencodable:
             return failures
 
         assert asyncio.run(scenario()) == []
+
+
+class TestNoDecidedHandler:
+    def test_decided_entries_leave_the_replica(self):
+        """A node given no decided handler still takes every decided
+        entry out of its replica and drops it, as a SimCluster with no
+        observers does, so nothing queues in the replica without bound."""
+        async def scenario():
+            cc = ClusterConfig(0, (1, 2, 3))
+            addrs = make_addrs(list(cc.servers))
+            nodes = {p: RuntimeNode(
+                OmniPaxosServer(OmniPaxosConfig(
+                    pid=p, cluster=cc, hb_period_ms=40.0, initial_leader=1)),
+                addrs[p], {q: a for q, a in addrs.items() if q != p},
+                tick_ms=5.0)
+                for p in (1, 2, 3)}
+            for node in nodes.values():
+                await node.start()
+            try:
+                await wait_for(lambda: nodes[1].is_leader)
+                for seq in range(20):
+                    nodes[1].propose(Command(b"x", client_id=1, seq=seq))
+                await wait_for(lambda: all(
+                    n.replica.status()["decided_idx"] >= 20
+                    for n in nodes.values()))
+                await asyncio.sleep(0.05)  # the drain after the last step
+                return [n.replica.take_decided() for n in nodes.values()]
+            finally:
+                for node in nodes.values():
+                    await node.stop()
+
+        assert asyncio.run(scenario()) == [[], [], []]
 
 
 class TestTeardown:
